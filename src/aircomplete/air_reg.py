@@ -78,22 +78,42 @@ def _check_exp_args(*mats):
                 f"exp argument {M.max():.3g} exceeds the overflow guard {_EXP_GUARD}")
 
 
-def build_laplacian(p: RegParam) -> LaplacianPair:
-    """Adjacency and Laplacian for the current W."""
+def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
+    """(A, E) for the current W, with E = exp(W)/S, from one exponential.
+
+    The product form uses exp(W + W^T) = exp(W) o exp(W)^T; the guard on
+    W + W^T keeps that product representable.
+    """
     W = p.W
     if p.parameterization == "product_form":
         _check_exp_args(W, W + W.T)
     else:
         _check_exp_args(W)
-    expW = np.exp(W)
-    S = expW.sum()
-    Aprime = expW.T / S
+    E = np.exp(W)
+    S = E.sum()
     if p.parameterization == "product_form":
-        A = np.exp(W + W.T) / S
+        A = E * E.T
+        A /= S
+        E /= S
     else:
-        A = Aprime + Aprime.T
-    L = np.diag(A.sum(axis=1)) - A
-    return LaplacianPair(A, Aprime, L)
+        E /= S
+        A = E.T + E
+    return A, E
+
+
+def _laplacian(A: np.ndarray, out=None) -> np.ndarray:
+    """diag(A 1) - A, written into `out` when given (A itself is allowed);
+    bit-identical to forming the diagonal matrix and subtracting A."""
+    deg = A.sum(axis=1)
+    L = np.negative(A, out=out)
+    L.flat[::L.shape[0] + 1] += deg
+    return L
+
+
+def build_laplacian(p: RegParam) -> LaplacianPair:
+    """Adjacency and Laplacian for the current W."""
+    A, E = _adjacency(p)
+    return LaplacianPair(A, E.T, _laplacian(A))
 
 
 @dataclass(frozen=True)
@@ -165,7 +185,7 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     return R, K * E - R * E, E
 
 
-def reg_value_and_grad(p: RegParam, M) -> tuple[float, np.ndarray]:
+def reg_value_and_grad(p: RegParam, M, *, laplacian: bool = False):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -180,24 +200,30 @@ def reg_value_and_grad(p: RegParam, M) -> tuple[float, np.ndarray]:
 
     (o is the elementwise product). Both match finite differences of
     the energy; see the module docstring.
+
+    Returns (R, dR/dW). With laplacian=True the Laplacian of the same
+    adjacency comes third, bit-identical to build_laplacian(p).L, so a
+    training step exponentiates W once.
     """
     M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
-    W = p.W
     C, K = _pair_distance_matrix(M)
+    A, E = _adjacency(p)
+    # products are formed in place: at 1682 rows each m x m array is 23 MB
     if p.parameterization == "sum_form":
-        _check_exp_args(W)
-        R, grad, _ = _sum_value_grad_from_K(K, W)
+        K *= E
+        R = float(K.sum())
     else:
-        _check_exp_args(W, W + W.T)
-        expW = np.exp(W)
-        S = expW.sum()
-        E = expW / S
-        A = np.exp(W + W.T) / S
-        R = float((C * A).sum())
-        grad = K * A - R * E
-    return R, grad
+        C *= A
+        R = float(C.sum())
+        K *= A
+    del C
+    E *= R
+    K -= E
+    if laplacian:
+        return R, K, _laplacian(A, out=A)
+    return R, K
 
 
 def grad_wrt_W(p: RegParam, M) -> np.ndarray:
@@ -269,8 +295,7 @@ def limit_laplacian(M, tol: float = 1e-12) -> tuple[np.ndarray, float, int]:
     A = gamma * np.eye(m)
     for k, l in pairs:
         A[k, l] = A[l, k] = gamma
-    Lstar = np.diag(A.sum(axis=1)) - A
-    return Lstar, gamma, s
+    return _laplacian(A, out=A), gamma, s
 
 
 def decay_constant(M, tol: float = 1e-12) -> float:

@@ -293,7 +293,10 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
         try:
             rep = run_complete(sub, out_dir)
             return (v, rep, None)
-        except Exception as e:  # failures recorded, sweep continues
+        except (InvalidInput, ParseError, ImputeError, NumericOverflow,
+                DivergenceError, OSError) as e:
+            # a failed arm is recorded and the sweep goes on; any other
+            # exception is a bug and propagates
             return (v, None, f"{type(e).__name__}: {e}")
 
     workers = max(1, int(os.environ.get("AIR_THREADS", "1")))

@@ -6,7 +6,7 @@ vector back to matrix shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,9 +30,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Boolean observation pattern. True entries are observed."""
+    """Boolean observation pattern. True entries are observed.
+
+    The pattern is fixed at construction (its count is cached), so the
+    array must not be modified afterwards.
+    """
 
     observed: np.ndarray
+    _n_observed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=bool)
@@ -41,6 +46,7 @@ class SamplingMask:
         if not obs.any():
             raise InvalidInput("mask must observe at least one entry")
         object.__setattr__(self, "observed", obs)
+        object.__setattr__(self, "_n_observed", int(obs.sum()))
 
     @property
     def rows(self) -> int:
@@ -52,11 +58,11 @@ class SamplingMask:
 
     @property
     def n_observed(self) -> int:
-        return int(self.observed.sum())
+        return self._n_observed
 
     @property
     def n_unobserved(self) -> int:
-        return self.observed.size - self.n_observed
+        return self.observed.size - self._n_observed
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,8 @@ class GroundTruth:
 
     full: np.ndarray
     value_range: tuple[float, float]
+    _split: tuple = field(default=(None,), init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         full = as_matrix(self.full, "ground truth")
@@ -72,6 +80,19 @@ class GroundTruth:
         if not (np.isfinite(lo) and np.isfinite(hi) and hi >= lo):
             raise InvalidInput(f"bad value range ({lo}, {hi})")
         object.__setattr__(self, "full", full)
+
+    def split(self, mask: "SamplingMask") -> tuple[np.ndarray, np.ndarray]:
+        """Truth at mask's observed and unobserved positions, row-major.
+
+        The slices for the last mask are kept, so scoring every checkpoint
+        of a run against one mask slices the truth once.
+        """
+        split = self._split  # one read, so concurrent callers stay consistent
+        if split[0] is not mask:
+            split = (mask, apply_mask(self.full, mask),
+                     apply_mask(self.full, mask, "unobserved"))
+            object.__setattr__(self, "_split", split)
+        return split[1], split[2]
 
     @classmethod
     def from_matrix(cls, full) -> "GroundTruth":

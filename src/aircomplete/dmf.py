@@ -90,23 +90,25 @@ def fidelity_grad(chain: FactorChain, mask: SamplingMask, y_obs) -> list[np.ndar
 
 
 def factor_grads_from_full(chain: FactorChain, G: np.ndarray) -> list[np.ndarray]:
-    """Chain-rule gradients of sum(G * X) w.r.t. each factor, X the product."""
+    """Chain-rule gradients of sum(G * X) w.r.t. each factor, X the product.
+
+    The gradient of factor l is H(l) pre(l)^T, with pre(l) = W(l-1)...W(0)
+    and H(l) = W(l+1)^T ... W(L-1)^T G. The prefixes are built bottom-up
+    once each; H is carried top-down, and each prefix is dropped as soon
+    as it is used, so the pass costs 3L - 4 matrix products and holds at
+    most L + 1 arrays of factor size at a time.
+    """
     facs = chain.factors
-    L = len(facs)
+    pres = [facs[0]]
+    for W in facs[1:-1]:
+        pres.append(W @ pres[-1])
     grads = []
-    for l in range(L):
-        g = G
-        if l < L - 1:
-            post = facs[-1]
-            for W in reversed(facs[l + 1:-1]):
-                post = post @ W
-            g = post.T @ g
-        if l > 0:
-            pre = facs[l - 1]
-            for W in reversed(facs[:l - 1]):
-                pre = pre @ W
-            g = g @ pre.T
-        grads.append(g)
+    H = G
+    for W in reversed(facs[1:]):
+        grads.append(H @ pres.pop().T)
+        H = W.T @ H
+    grads.append(H)
+    grads.reverse()
     return grads
 
 

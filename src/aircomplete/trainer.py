@@ -244,8 +244,9 @@ def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
         raise InvalidInput("ground-truth value range is degenerate")
     if mask.n_unobserved == 0:
         raise InvalidInput("nmae needs at least one unobserved entry")
-    diff_obs = apply_mask(X, mask) - apply_mask(gt.full, mask)
-    diff_un = apply_mask(X, mask, "unobserved") - apply_mask(gt.full, mask, "unobserved")
+    truth_obs, truth_un = gt.split(mask)
+    diff_obs = apply_mask(X, mask) - truth_obs
+    diff_un = apply_mask(X, mask, "unobserved") - truth_un
     mse_obs = float(diff_obs @ diff_obs) / mask.n_observed
     mse_unobs = float(diff_un @ diff_un) / mask.n_unobserved
     if absolute:
@@ -259,7 +260,12 @@ def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
 # optimizers
 
 def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
-    """One bias-corrected update, in place. moments is (m_list, v_list)."""
+    """One bias-corrected update, in place. moments is (m_list, v_list).
+
+    Evaluates the textbook expression p -= lr (m/c1) / (sqrt(v/c2) + eps)
+    in its usual operation order, so the bits match it, through two
+    temporaries per parameter.
+    """
     if t < 1:
         raise InvalidInput("adam step count starts at 1")
     ms, vs = moments
@@ -267,11 +273,20 @@ def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for p, g, m, v in zip(params, grads, ms, vs):
+        a = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += a
+        b = np.multiply(g, g)
+        b *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        v += b
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        np.divide(m, c1, out=a)
+        a *= cfg.lr
+        a /= b
+        p -= a
     return params, moments
 
 
@@ -331,17 +346,16 @@ class _AdaptiveReg:
         self._warned = False
 
     def compute(self, X):
-        Rr, gWr = reg_value_and_grad(self.reg_row, X)
-        Rc, gWc = reg_value_and_grad(self.reg_col, X.T)
-        Lr = build_laplacian(self.reg_row).L
-        Lc = build_laplacian(self.reg_col).L
+        Rr, gWr, Lr = reg_value_and_grad(self.reg_row, X, laplacian=True)
+        Rc, gWc, Lc = reg_value_and_grad(self.reg_col, X.T, laplacian=True)
         Gx = grad_wrt_X(Lr, Lc, X, self.lam_r, self.lam_c)
-        return Rr, Rc, Gx, (self.lam_r * gWr, self.lam_c * gWc)
+        gWr *= self.lam_r
+        gWc *= self.lam_c
+        return Rr, Rc, Gx, (gWr, gWc)
 
     def values(self, X):
-        Rr, _ = reg_value_and_grad(self.reg_row, X)
-        Rc, _ = reg_value_and_grad(self.reg_col, X.T)
-        return Rr, Rc
+        return (air_reg.dirichlet_energy(build_laplacian(self.reg_row).L, X),
+                air_reg.dirichlet_energy(build_laplacian(self.reg_col).L, X.T))
 
     def post_step(self):
         # keep exp arguments representable; see build_laplacian's guard.
@@ -384,11 +398,17 @@ class _FrozenReg:
 def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
                 cfg: TrainConfig, lam_r: float, lam_c: float,
                 ground_truth=None):
-    """Shared engine: joint full-gradient updates plus trace and stops."""
+    """Shared engine: joint full-gradient updates plus trace and stops.
+
+    Pass `it` evaluates the state after `it` updates once: its product,
+    residual and energies feed the next update and, at a checkpoint, the
+    trace row for `it`. The last state is evaluated for its values only.
+    """
     y = np.asarray(y_obs, dtype=np.float64).ravel()
-    if y.size != mask.n_observed:
+    n_obs = mask.n_observed
+    if y.size != n_obs:
         raise InvalidInput(f"y_obs has {y.size} entries, mask observes "
-                           f"{mask.n_observed}")
+                           f"{n_obs}")
     m, n = chain.shape
     if mask.observed.shape != (m, n):
         raise InvalidInput(f"mask {mask.observed.shape} vs model {(m, n)}")
@@ -406,14 +426,8 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
 
     trace = MetricTrace(n_sigma=cfg.track_singular_values)
 
-    def checkpoint(it):
-        """Log the current state; returns (fid, Rr_raw, Rc_raw, mse_obs)."""
-        X = forward(chain)
-        diff = apply_mask(X, mask) - y
-        sq = float(diff @ diff)
+    def log(it, X, sq, Rr, Rc):
         fid = 0.5 * sq
-        mse_obs = sq / mask.n_observed
-        Rr, Rc = strategy.values(X) if reg_active else (0.0, 0.0)
         mse_un = nm = None
         if gt is not None:
             _, mse_un, nm = metrics(X, gt, mask)
@@ -423,69 +437,73 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
             k = cfg.track_singular_values
             sig = tuple(s[:k]) + (0.0,) * max(0, k - s.size)
         total = fid + lam_r * Rr + lam_c * Rc
-        trace.append(it, total, fid, lam_r * Rr, lam_c * Rc, mse_obs,
+        trace.append(it, total, fid, lam_r * Rr, lam_c * Rc, sq / n_obs,
                      mse_un, nm, sig)
-        return fid, Rr, Rc, mse_obs
+
+    def diverged(it, what):
+        err = DivergenceError(it, what)
+        err.trace = trace  # callers may flush the partial log
+        return err
 
     prev_scaled = None
     streak = 0
     stop_reason = "max_iters"
-    it_done = 0
-    checkpoint(0)
-
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             X = forward(chain)
         if not np.isfinite(X).all():
             # factors can stay finite while their product overflows
-            err = DivergenceError(it, "estimate")
-            err.trace = trace
-            raise err
+            raise diverged(it + 1, "estimate")
         diff = apply_mask(X, mask) - y
-        mse_obs = float(diff @ diff) / mask.n_observed
-        if cfg.stop_mse_obs is not None and mse_obs < cfg.stop_mse_obs:
-            # the state after it-1 updates already meets the target
+        sq = float(diff @ diff)
+        last = it == cfg.max_iters
+        if (not last and cfg.stop_mse_obs is not None
+                and sq / n_obs < cfg.stop_mse_obs):
             stop_reason = "mse_obs"
+            last = True
+        try:
+            if last:
+                Rr, Rc = strategy.values(X)
+            else:
+                Rr, Rc, Gx, w_grads = strategy.compute(X)
+        except NumericOverflow as err:
+            err.trace = trace  # callers may flush the partial log
+            raise
+        if not np.isfinite(sq + Rr + Rc):
+            # a finite estimate can still overflow its squared residual
+            raise diverged(it + 1, "objective")
+        if it % cfg.log_every == 0 or last:
+            log(it, X, sq, Rr, Rc)
+        if it % cfg.log_every == 0 and it > 0 and reg_active:
+            scaled = (lam_r * Rr, lam_c * Rc) if cfg.stop_scaled else (Rr, Rc)
+            if prev_scaled is not None:
+                dr = abs(scaled[0] - prev_scaled[0])
+                dc = abs(scaled[1] - prev_scaled[1])
+                if dr < delta and dc < delta and it > cfg.stop_warmup:
+                    streak += 1
+                else:
+                    streak = 0
+            prev_scaled = scaled
+            if streak >= cfg.stop_patience:
+                stop_reason = "reg_delta"
+                break
+        if last:
             break
+
         G = lift(diff, mask)
-        if reg_active:
-            try:
-                _, _, Gx, w_grads = strategy.compute(X)
-            except NumericOverflow as err:
-                err.trace = trace  # callers may flush the partial log
-                raise
-            grads = factor_grads_from_full(chain, G + Gx)
-            grads.extend(w_grads)
-        else:
-            grads = factor_grads_from_full(chain, G)
+        if Gx is not None:
+            G += Gx
+        grads = factor_grads_from_full(chain, G)
+        grads.extend(w_grads)
         opt.step(grads)
         strategy.post_step()
         for j, p in enumerate(params):
             if not np.isfinite(p).all():
                 what = f"factor {j}" if j < n_fac else "graph parameter"
-                err = DivergenceError(it, what)
-                err.trace = trace  # callers may flush the partial log
-                raise err
-        it_done = it
+                raise diverged(it + 1, what)
+        # free this pass's arrays before the next pass allocates its own
+        del X, diff, G, Gx, grads, w_grads
 
-        if it % cfg.log_every == 0:
-            _, Rr, Rc, _ = checkpoint(it)
-            if reg_active:
-                scaled = (lam_r * Rr, lam_c * Rc) if cfg.stop_scaled else (Rr, Rc)
-                if prev_scaled is not None:
-                    dr = abs(scaled[0] - prev_scaled[0])
-                    dc = abs(scaled[1] - prev_scaled[1])
-                    if dr < delta and dc < delta and it > cfg.stop_warmup:
-                        streak += 1
-                    else:
-                        streak = 0
-                prev_scaled = scaled
-                if streak >= cfg.stop_patience:
-                    stop_reason = "reg_delta"
-                    break
-
-    if trace.iters[-1] != it_done:
-        checkpoint(it_done)
     trace.stop_reason = stop_reason
     return trace
 

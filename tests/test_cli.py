@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from aircomplete import cli
 from aircomplete.cli import main
 from aircomplete.data_lab import read_mask_pgm, read_pgm, write_pgm
 from aircomplete.trainer import MetricTrace
@@ -238,6 +239,26 @@ def test_divergence_exits_two_with_partial_trace(small_problem, tmp_path,
     assert not (out / "report.json").exists()
 
 
+def test_overflow_right_after_checkpoint_exits_two(tmp_path, capsys):
+    # GD at lr 10 on a 6x6 problem overflows the objective at iteration 12;
+    # logging every step must still give exit 2 and a partial trace
+    truth, mask, out = tmp_path / "t.csv", tmp_path / "m.pgm", tmp_path / "o"
+    out.mkdir()
+    assert run("gen-data", "--kind", "lowrank", "--rows", 6, "--cols", 6,
+               "--rank", 2, "--seed", 7, "--out", truth) == 0
+    assert run("gen-mask", "--kind", "random", "--rows", 6, "--cols", 6,
+               "--missing", 0.3, "--seed", 3, "--out", mask) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(*complete_args(truth, mask, out, "--optimizer", "gd",
+                                  "--lr", 10, "--log-every", 1,
+                                  "--max-iters", 50))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "at iteration 12" in err and "partial trace flushed" in err
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(11)]
+
+
 # ---------------------------------------------------------------------------
 # baselines
 
@@ -300,6 +321,18 @@ def test_sweep_records_failures_and_continues(small_problem, tmp_path):
     lines = (out / "sweep_summary.csv").read_text().splitlines()
     assert lines[1].startswith("1,") and "failed: InvalidInput" in lines[1]
     assert lines[2].startswith("2,") and lines[2].endswith(",ok")
+
+
+def test_sweep_propagates_programming_errors(small_problem, tmp_path,
+                                            monkeypatch):
+    truth, mask = small_problem
+
+    def broken(cfg, out_dir):
+        raise TypeError("bug in an arm")
+
+    monkeypatch.setattr(cli, "run_complete", broken)
+    with pytest.raises(TypeError):
+        run(*sweep_args(truth, mask, tmp_path, "2"))
 
 
 def test_sweep_parallel_matches_serial(small_problem, tmp_path):

@@ -1,9 +1,12 @@
 """Factor chain, fidelity loss/gradients, and initialization schemes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask
-from aircomplete.dmf import (FactorChain, balance_residuals, fidelity_grad,
+from aircomplete.dmf import (FactorChain, balance_residuals,
+                             factor_grads_from_full, fidelity_grad,
                              fidelity_loss, forward, initialize,
                              residual_matrix)
 from aircomplete.errors import InvalidInput
@@ -114,6 +117,58 @@ def test_fidelity_grad_matches_finite_differences():
         for a, b in zip(ana, num):
             scale = max(1e-12, float(np.abs(b).max()))
             assert np.abs(a - b).max() / scale < 1e-6
+
+
+def quadratic_factor_grads(chain, G):
+    # reference: every prefix and suffix product rebuilt for every layer
+    facs = chain.factors
+    L = len(facs)
+    grads = []
+    for l in range(L):
+        g = G
+        if l < L - 1:
+            post = facs[-1]
+            for W in reversed(facs[l + 1:-1]):
+                post = post @ W
+            g = post.T @ g
+        if l > 0:
+            pre = facs[l - 1]
+            for W in reversed(facs[:l - 1]):
+                pre = pre @ W
+            g = g @ pre.T
+        grads.append(g)
+    return grads
+
+
+def test_factor_grads_match_quadratic_reference():
+    # non-square, width below min(m, n); association order differs, so
+    # the agreement is to rounding, not bit for bit
+    for L in range(2, 9):
+        rng = make_rng(100 + L)
+        chain = initialize(9, 7, L, r=4, scheme="gaussian", rng=rng,
+                           variance=0.5)
+        G = rng.standard_normal((9, 7))
+        fast = factor_grads_from_full(chain, G)
+        ref = quadratic_factor_grads(chain, G)
+        assert [g.shape for g in fast] == [W.shape for W in chain.factors]
+        for a, b in zip(fast, ref):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factor_grads_peak_allocation_at_depth_8():
+    L = 8
+    chain = initialize(120, 120, L, scheme="gaussian", rng=make_rng(5),
+                       variance=0.1)
+    G = make_rng(6).standard_normal((120, 120))
+    factor_bytes = chain.factors[0].nbytes
+    tracemalloc.start()
+    try:
+        grads = factor_grads_from_full(chain, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == L
+    assert peak <= (L + 2) * factor_bytes
 
 
 def test_residual_matrix_zero_fill():

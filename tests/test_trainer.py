@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 
-from aircomplete.air_reg import RegParam, build_laplacian, dirichlet_energy
+from aircomplete.air_reg import (RegParam, build_laplacian, dirichlet_energy,
+                                 reg_value_and_grad)
 from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask, lift)
 from aircomplete.dmf import FactorChain, forward, initialize
 from aircomplete.errors import DivergenceError, InvalidInput
 from aircomplete.mat_core import gaussian_matrix, make_rng
+from aircomplete import trainer as trainer_mod
 from aircomplete.trainer import (Adam, MetricTrace, ModelState, TrainConfig,
                                  adam_step, auto_lambda, metrics, total_loss,
                                  train)
@@ -171,6 +173,77 @@ def test_adam_step_validation_and_determinism():
     assert np.array_equal(runs[0], runs[1])
 
 
+def test_adam_step_bit_identical_to_textbook():
+    cfg = TrainConfig(lr=3e-3)
+    b1, b2 = cfg.beta1, cfg.beta2
+    rng = make_rng(30)
+    params = [rng.standard_normal((5, 4)), rng.standard_normal((3, 3))]
+    ref = [p.copy() for p in params]
+    moments = ([np.zeros_like(p) for p in params],
+               [np.zeros_like(p) for p in params])
+    ref_m = [np.zeros_like(p) for p in params]
+    ref_v = [np.zeros_like(p) for p in params]
+    for t in range(1, 6):
+        grads = [rng.standard_normal(p.shape) for p in params]
+        adam_step(params, grads, moments, t, cfg)
+        for j, g in enumerate(grads):
+            ref_m[j] = b1 * ref_m[j] + (1.0 - b1) * g
+            ref_v[j] = b2 * ref_v[j] + (1.0 - b2) * (g * g)
+            ref[j] = ref[j] - cfg.lr * (ref_m[j] / (1.0 - b1 ** t)) / (
+                np.sqrt(ref_v[j] / (1.0 - b2 ** t)) + cfg.eps)
+        for a, b in zip(params + moments[0] + moments[1],
+                        ref + ref_m + ref_v):
+            assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the graph terms of one step
+
+def separate_graph_terms(p, M):
+    # the unfused formulas: exp(W + W^T) for the product form and a dense
+    # diagonal matrix for the Laplacian
+    W = p.W
+    expW = np.exp(W)
+    S = expW.sum()
+    E = expW / S
+    P = M @ M.T
+    C = np.diag(P)[:, None] - P
+    K = C + C.T
+    if p.parameterization == "product_form":
+        A = np.exp(W + W.T) / S
+        R = float((C * A).sum())
+        grad = K * A - R * E
+    else:
+        A = E.T + E
+        R = float((K * E).sum())
+        grad = K * E - R * E
+    return R, grad, np.diag(A.sum(axis=1)) - A
+
+
+def test_fused_graph_step_matches_separate_terms():
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    lam_r, lam_c = 0.3, 0.7
+    for form in ("product_form", "sum_form"):
+        for seed in range(5):
+            state = small_state(m=7, n=5, seed=seed, form=form)
+            state.reg_row.W *= 300.0  # entries of order 1
+            state.reg_col.W *= 300.0
+            X = make_rng(40 + seed).standard_normal((7, 5))
+            Rr, Rc, Gx, (gWr, gWc) = trainer_mod._AdaptiveReg(
+                state.reg_row, state.reg_col, lam_r, lam_c).compute(X)
+            Rr0, gWr0, Lr0 = separate_graph_terms(state.reg_row, X)
+            Rc0, gWc0, Lc0 = separate_graph_terms(state.reg_col, X.T)
+            assert Rr == pytest.approx(Rr0, rel=1e-12)
+            assert Rc == pytest.approx(Rc0, rel=1e-12)
+            assert close(gWr, lam_r * gWr0) and close(gWc, lam_c * gWc0)
+            assert close(Gx, 2 * lam_r * Lr0 @ X + 2 * lam_c * X @ Lc0)
+            # the step's Laplacian is the one build_laplacian gives
+            _, _, Lr = reg_value_and_grad(state.reg_row, X, laplacian=True)
+            assert np.array_equal(Lr, build_laplacian(state.reg_row).L)
+
+
 # ---------------------------------------------------------------------------
 # training runs
 
@@ -318,6 +391,47 @@ def test_divergence_raises_with_iteration_and_partial_trace():
     assert exc.value.iteration >= 1
     assert isinstance(exc.value.trace, MetricTrace)
     assert len(exc.value.trace) >= 1
+
+
+def test_overflow_after_checkpoint_is_divergence():
+    # GD at lr 10 overflows the squared residual of state 3 while the
+    # estimate is still finite; logging every step must not turn that
+    # into a bad-input error
+    for log_every in (1, 1000):
+        rng = make_rng(0)
+        chain = initialize(6, 6, 3, scheme="gaussian", rng=rng, variance=1.0)
+        state = ModelState(
+            chain, RegParam(gaussian_matrix(rng, 6, 6, variance=1e-5)),
+            RegParam(gaussian_matrix(rng, 6, 6, variance=1e-5)))
+        mask = generate_mask(rng, 6, 6, "random", p=0.3)
+        y = rng.standard_normal(mask.n_observed)
+        cfg = TrainConfig(optimizer="gd", lr=10.0, max_iters=50,
+                          lambda_mode="explicit", log_every=log_every)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                train(state, mask, y, cfg)
+        assert exc.value.iteration == 4
+        assert exc.value.trace.iters == list(range(0, 3, log_every))
+
+
+def test_checkpoints_reuse_the_step_forward(monkeypatch):
+    calls = []
+    real = trainer_mod.forward
+
+    def counted(chain):
+        calls.append(1)
+        return real(chain)
+
+    monkeypatch.setattr(trainer_mod, "forward", counted)
+    state = small_state(seed=20, variance=1e-2)
+    rng = make_rng(21)
+    gt = gen_lowrank(rng, 6, 5, 2)
+    mask = generate_mask(rng, 6, 5, "random", p=0.3)
+    cfg = TrainConfig(max_iters=50, log_every=10, stop_delta=0.0,
+                      track_singular_values=2)
+    _, trace = train(state, mask, apply_mask(gt.full, mask), cfg, gt)
+    assert trace.iters == [0, 10, 20, 30, 40, 50]
+    assert len(calls) <= 51
 
 
 def test_gd_total_loss_monotone_on_desk_scale():
