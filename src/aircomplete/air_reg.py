@@ -151,6 +151,9 @@ def apply_transform(t: Transform, X) -> np.ndarray:
 def dirichlet_energy(L, M) -> float:
     """tr(M^T L M), the similarity-weighted smoothness of M's rows.
 
+    Evaluated as <M, L M>, which skips the off-diagonal entries of
+    M^T L M.
+
     Equals half the A-weighted sum of squared row differences over
     ordered pairs; the identity is enforced by the test suite.
     """
@@ -158,7 +161,7 @@ def dirichlet_energy(L, M) -> float:
     M = as_matrix(M, "energy argument")
     if L.shape[0] != L.shape[1] or M.shape[0] != L.shape[0]:
         raise InvalidInput(f"shape mismatch: L {L.shape}, M {M.shape}")
-    return float(np.trace(M.T @ (L @ M)))
+    return float(np.vdot(M, L @ M))
 
 
 def _pair_distance_matrix(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

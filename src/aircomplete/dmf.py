@@ -46,14 +46,41 @@ class FactorChain:
         return FactorChain([f.copy() for f in self.factors])
 
 
-def forward(chain: FactorChain) -> np.ndarray:
-    """Product of the chain, multiplied left to right from the top factor.
+def _rmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return b @ a
+
+
+def _walk(chain: FactorChain):
+    """(factors, mul) for multiplying the chain from its narrow end.
+
+    For m <= n the walk starts at the top factor and the partial products
+    W(L-1)...W(l) are m x r. For m > n it walks the transposed chain
+    W(0)^T W(1)^T ... W(L-1)^T instead, so the partials are r x n. Each
+    array of that walk is held as the transpose of what it stands for,
+    in the caller's orientation: the factors come in reverse order and
+    mul(a, b) is b @ a, which is (a^T b^T)^T, so every result is
+    C-contiguous and no array is copied.
+    """
+    m, n = chain.shape
+    if m <= n:
+        return chain.factors, np.matmul
+    return chain.factors[::-1], _rmatmul
+
+
+def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
+    """Product of the chain, multiplied from its narrow end.
 
     The association order is fixed so repeated runs are bit-identical.
+    When `partials` is a list, each partial product is appended to it
+    before it is multiplied further (the first is the end factor itself),
+    for `factor_grads_from_full` to reuse.
     """
-    X = chain.factors[-1]
-    for W in reversed(chain.factors[:-1]):
-        X = X @ W
+    facs, mul = _walk(chain)
+    X = facs[-1]
+    for W in reversed(facs[:-1]):
+        if partials is not None:
+            partials.append(X)
+        X = mul(X, W)
     return X
 
 
@@ -89,26 +116,32 @@ def fidelity_grad(chain: FactorChain, mask: SamplingMask, y_obs) -> list[np.ndar
     return factor_grads_from_full(chain, G)
 
 
-def factor_grads_from_full(chain: FactorChain, G: np.ndarray) -> list[np.ndarray]:
+def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
+                           partials: Optional[list] = None) -> list[np.ndarray]:
     """Chain-rule gradients of sum(G * X) w.r.t. each factor, X the product.
 
-    The gradient of factor l is H(l) pre(l)^T, with pre(l) = W(l-1)...W(0)
-    and H(l) = W(l+1)^T ... W(L-1)^T G. The prefixes are built bottom-up
-    once each; H is carried top-down, and each prefix is dropped as soon
-    as it is used, so the pass costs 3L - 4 matrix products and holds at
-    most L + 1 arrays of factor size at a time.
+    For m <= n the gradient of factor l is suf(l+1)^T T(l), with
+    suf(l+1) = W(L-1)...W(l+1) and T(l) = G W(0)^T ... W(l-1)^T carried
+    upward from the bottom factor; for m > n the same walk runs on the
+    transposed chain (see `_walk`). `partials` are the partial products
+    that `forward(chain, partials)` appended; they must come from the
+    same factors, not yet updated. Each is popped once used, so the list
+    is empty afterwards. With None they are built here (L - 2 products).
+    The pass costs 2L - 2 products and returns C-contiguous gradients.
     """
-    facs = chain.factors
-    pres = [facs[0]]
-    for W in facs[1:-1]:
-        pres.append(W @ pres[-1])
+    facs, mul = _walk(chain)
+    if partials is None:
+        partials = [facs[-1]]
+        for W in reversed(facs[1:-1]):
+            partials.append(mul(partials[-1], W))
     grads = []
-    H = G
-    for W in reversed(facs[1:]):
-        grads.append(H @ pres.pop().T)
-        H = W.T @ H
-    grads.append(H)
-    grads.reverse()
+    T = G
+    for W in facs[:-1]:
+        grads.append(mul(partials.pop().T, T))
+        T = mul(T, W.T)
+    grads.append(T)
+    if facs is not chain.factors:
+        grads.reverse()
     return grads
 
 

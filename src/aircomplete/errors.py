@@ -10,10 +10,13 @@ class NumericOverflow(ArithmeticError):
 
 
 class ParseError(ValueError):
-    """Malformed PGM input. Carries the byte offset where parsing failed."""
+    """Malformed input file (PGM or CSV). Carries the byte offset where
+    parsing failed, or None when the parser does not report one."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        if offset is not None:
+            message = f"{message} (byte offset {offset})"
+        super().__init__(message)
         self.offset = offset
 
 

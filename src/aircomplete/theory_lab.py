@@ -181,7 +181,8 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
     if not checkpoint():
         skipped.append(0)
     for it in range(1, steps + 1):
-        X = forward(chain)
+        partials = []
+        X = forward(chain, partials)
         Gx = X - Y
         if reg_on:
             Lr = build_laplacian(reg_row).L
@@ -189,7 +190,7 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
             Gx = Gx + grad_wrt_X(Lr, Lc, X, lam_r, lam_c)
             _, gWr = reg_value_and_grad(reg_row, X)
             _, gWc = reg_value_and_grad(reg_col, X.T)
-        grads = factor_grads_from_full(chain, Gx)
+        grads = factor_grads_from_full(chain, Gx, partials)
         for W, g in zip(chain.factors, grads):
             W -= lr * g
         if reg_on:
@@ -384,8 +385,9 @@ def verify_balance(m: int = 5, n: int = 4, L: int = 3, lr: float = 1e-4,
 
     max_rel = inspect(0)
     for it in range(1, steps + 1):
-        X = forward(chain)
-        grads = factor_grads_from_full(chain, X - Y)
+        partials = []
+        X = forward(chain, partials)
+        grads = factor_grads_from_full(chain, X - Y, partials)
         for W, g in zip(chain.factors, grads):
             W -= lr * g
         if it % check_every == 0:

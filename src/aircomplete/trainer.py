@@ -383,13 +383,19 @@ class _FrozenReg:
         self.lam_c = lam_c
 
     def compute(self, X):
-        Rr, Rc = self.values(X)
-        Gx = grad_wrt_X(self.Lr, self.Lc, X, self.lam_r, self.lam_c)
-        return Rr, Rc, Gx, ()
+        LrX = self.Lr @ X
+        XLc = X @ self.Lc
+        # summed in grad_wrt_X's order, so Gx has its bits
+        Gx = np.zeros_like(X)
+        if self.lam_r != 0.0:
+            Gx += 2.0 * self.lam_r * LrX
+        if self.lam_c != 0.0:
+            Gx += 2.0 * self.lam_c * XLc
+        return float(np.vdot(X, LrX)), float(np.vdot(X, XLc)), Gx, ()
 
     def values(self, X):
-        return (air_reg.dirichlet_energy(self.Lr, X),
-                air_reg.dirichlet_energy(self.Lc, X.T))
+        return (float(np.vdot(X, self.Lr @ X)),
+                float(np.vdot(X, X @ self.Lc)))
 
     def post_step(self):
         pass
@@ -449,8 +455,9 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
     streak = 0
     stop_reason = "max_iters"
     for it in range(cfg.max_iters + 1):
+        partials = []
         with np.errstate(over="ignore", invalid="ignore"):
-            X = forward(chain)
+            X = forward(chain, partials)
         if not np.isfinite(X).all():
             # factors can stay finite while their product overflows
             raise diverged(it + 1, "estimate")
@@ -493,7 +500,7 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
         G = lift(diff, mask)
         if Gx is not None:
             G += Gx
-        grads = factor_grads_from_full(chain, G)
+        grads = factor_grads_from_full(chain, G, partials)
         grads.extend(w_grads)
         opt.step(grads)
         strategy.post_step()
@@ -502,7 +509,7 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
                 what = f"factor {j}" if j < n_fac else "graph parameter"
                 raise diverged(it + 1, what)
         # free this pass's arrays before the next pass allocates its own
-        del X, diff, G, Gx, grads, w_grads
+        del X, partials, diff, G, Gx, grads, w_grads
 
     trace.stop_reason = stop_reason
     return trace

@@ -168,6 +168,15 @@ def test_energy_trace_equals_half_pairwise():
         assert abs(tr - pw) <= 1e-10 * max(1.0, abs(pw))
 
 
+def test_energy_matches_trace_of_full_product():
+    for seed in range(10):
+        rng = make_rng(seed)
+        L = build_laplacian(RegParam(gaussian_matrix(rng, 7, 7))).L
+        M = rng.standard_normal((7, 4))
+        ref = float(np.trace(M.T @ (L @ M)))
+        assert abs(dirichlet_energy(L, M) - ref) <= 1e-12 * abs(ref)
+
+
 def test_energy_shape_validation():
     L = build_laplacian(RegParam(np.zeros((3, 3)))).L
     with pytest.raises(InvalidInput):

@@ -222,6 +222,66 @@ def test_mask_shape_mismatch_exits_one(small_problem, tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_fixed_path_without_a_laplacian_exits_one(small_problem, tmp_path,
+                                                 capsys):
+    truth, mask = small_problem
+    lap = tmp_path / "laps.npz"
+    np.savez(lap, L_r=np.zeros((12, 12)))
+    out = tmp_path / "run"
+    code = run(*complete_args(truth, mask, out, "--reg", "fixed",
+                              "--fixed-path", lap))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(lap) in err and "'L_c'" in err
+    assert not out.exists()
+
+
+def test_key_error_inside_a_handler_propagates(monkeypatch):
+    def broken(args):
+        raise KeyError("bug in a handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "eval", broken)
+    with pytest.raises(KeyError):
+        run("eval", "--recovered", "r.csv", "--truth", "t.csv",
+            "--mask", "m.pgm")
+
+
+@pytest.mark.parametrize("text", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n"],
+                         ids=["non-numeric", "ragged"])
+def test_malformed_csv_exits_one(small_problem, tmp_path, capsys, text):
+    truth, mask = small_problem
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    out = tmp_path / "run"
+    assert run(*complete_args(bad, mask, out)) == 1
+    assert not out.exists()
+    assert run("eval", "--recovered", truth, "--truth", bad,
+               "--mask", mask) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and str(bad) in line
+               for line in err)
+
+
+def per_value_csv(path, X):
+    # reference writer: one format() call per value
+    with open(path, "w", newline="") as f:
+        for row in np.atleast_2d(X):
+            f.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+def test_write_matrix_csv_matches_per_value_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((130, 7)) * 10.0 ** rng.integers(-300, 300, (130, 7))
+    X[0] = [np.nan, np.inf, -np.inf, -0.0, 1e300, 1e-300, 3.0]
+    X[1, :3] = [-1e-300, -1e300, 42.0]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for M in (X, X[:64], X[:1], X[:, :1], X[0]):
+        cli.write_matrix_csv(a, M)
+        per_value_csv(b, M)
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_divergence_exits_two_with_partial_trace(small_problem, tmp_path,
                                                  capsys):
     truth, mask = small_problem

@@ -140,19 +140,74 @@ def quadratic_factor_grads(chain, G):
     return grads
 
 
+def one_pass(chain, G, use_partials):
+    # forward product and factor gradients, the backward pass either
+    # reusing the forward's partial products or building its own
+    partials = [] if use_partials else None
+    X = forward(chain, partials)
+    grads = factor_grads_from_full(chain, G, partials)
+    if use_partials:
+        assert partials == []
+    return X, grads
+
+
+SHAPES = ((7, 9), (8, 8), (9, 7))  # wide, square, tall
+
+
 def test_factor_grads_match_quadratic_reference():
-    # non-square, width below min(m, n); association order differs, so
-    # the agreement is to rounding, not bit for bit
-    for L in range(2, 9):
-        rng = make_rng(100 + L)
-        chain = initialize(9, 7, L, r=4, scheme="gaussian", rng=rng,
-                           variance=0.5)
-        G = rng.standard_normal((9, 7))
-        fast = factor_grads_from_full(chain, G)
-        ref = quadratic_factor_grads(chain, G)
-        assert [g.shape for g in fast] == [W.shape for W in chain.factors]
-        for a, b in zip(fast, ref):
-            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    # width below min(m, n); association order differs, so the agreement
+    # is to rounding, not bit for bit
+    for shape in SHAPES:
+        for L in range(2, 9):
+            rng = make_rng(100 + L)
+            chain = initialize(*shape, L, r=4, scheme="gaussian", rng=rng,
+                               variance=0.5)
+            G = rng.standard_normal(shape)
+            ref = quadratic_factor_grads(chain, G)
+            for use_partials in (False, True):
+                _, fast = one_pass(chain, G, use_partials)
+                assert ([g.shape for g in fast]
+                        == [W.shape for W in chain.factors])
+                for a, b in zip(fast, ref):
+                    assert a.flags.c_contiguous
+                    assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_forward_with_partials_keeps_its_bits():
+    for shape in SHAPES:
+        for L in (2, 3, 6):
+            rng = make_rng(L)
+            chain = initialize(*shape, L, scheme="gaussian", rng=rng,
+                               variance=0.5)
+            X, _ = one_pass(chain, rng.standard_normal(shape), True)
+            assert np.array_equal(X, forward(chain))
+            assert X.flags.c_contiguous
+
+
+class CountingArray(np.ndarray):
+    """Counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingArray.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingArray) else x
+                 for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(CountingArray) if isinstance(out, np.ndarray) else out
+
+
+def test_forward_and_backward_make_3L_minus_3_products():
+    for shape in SHAPES + ((1, 6), (6, 1)):
+        for L in range(2, 9):
+            rng = make_rng(L)
+            chain = initialize(*shape, L, scheme="gaussian", rng=rng)
+            chain = FactorChain([W.view(CountingArray) for W in chain.factors])
+            G = rng.standard_normal(shape).view(CountingArray)
+            CountingArray.products = 0
+            one_pass(chain, G, True)
+            assert CountingArray.products == 3 * L - 3
 
 
 def test_factor_grads_peak_allocation_at_depth_8():
@@ -161,14 +216,18 @@ def test_factor_grads_peak_allocation_at_depth_8():
                        variance=0.1)
     G = make_rng(6).standard_normal((120, 120))
     factor_bytes = chain.factors[0].nbytes
-    tracemalloc.start()
-    try:
-        grads = factor_grads_from_full(chain, G)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(grads) == L
-    assert peak <= (L + 2) * factor_bytes
+    for use_partials in (False, True):
+        partials = [] if use_partials else None
+        forward(chain, partials)
+        tracemalloc.start()
+        try:
+            grads = factor_grads_from_full(chain, G, partials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == L
+        assert peak <= (L + 2) * factor_bytes
+        del grads
 
 
 def test_residual_matrix_zero_fill():

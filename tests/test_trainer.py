@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aircomplete.air_reg import (RegParam, build_laplacian, dirichlet_energy,
-                                 reg_value_and_grad)
+                                 grad_wrt_X, reg_value_and_grad)
 from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask, lift)
@@ -244,6 +244,24 @@ def test_fused_graph_step_matches_separate_terms():
             assert np.array_equal(Lr, build_laplacian(state.reg_row).L)
 
 
+def test_frozen_step_matches_separate_terms():
+    for seed, (lam_r, lam_c) in enumerate([(0.3, 0.7), (0.0, 0.7),
+                                           (0.3, 0.0)]):
+        state = small_state(m=7, n=5, seed=seed)
+        state.reg_row.W *= 300.0
+        state.reg_col.W *= 300.0
+        Lr = build_laplacian(state.reg_row).L
+        Lc = build_laplacian(state.reg_col).L
+        X = make_rng(50 + seed).standard_normal((7, 5))
+        reg = trainer_mod._FrozenReg(Lr, Lc, lam_r, lam_c)
+        Rr, Rc, Gx, w_grads = reg.compute(X)
+        assert w_grads == ()
+        assert np.array_equal(Gx, grad_wrt_X(Lr, Lc, X, lam_r, lam_c))
+        assert (Rr, Rc) == reg.values(X)
+        assert Rr == pytest.approx(dirichlet_energy(Lr, X), rel=1e-12)
+        assert Rc == pytest.approx(dirichlet_energy(Lc, X.T), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # training runs
 
@@ -418,9 +436,9 @@ def test_checkpoints_reuse_the_step_forward(monkeypatch):
     calls = []
     real = trainer_mod.forward
 
-    def counted(chain):
+    def counted(chain, *args):
         calls.append(1)
-        return real(chain)
+        return real(chain, *args)
 
     monkeypatch.setattr(trainer_mod, "forward", counted)
     state = small_state(seed=20, variance=1e-2)
