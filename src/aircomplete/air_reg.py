@@ -71,11 +71,16 @@ class LaplacianPair:
     L: np.ndarray
 
 
-def _check_exp_args(*mats):
-    for M in mats:
-        if M.max() > _EXP_GUARD:
-            raise NumericOverflow(
-                f"exp argument {M.max():.3g} exceeds the overflow guard {_EXP_GUARD}")
+def _check_exp_args(W, pair: bool = False):
+    """Raise NumericOverflow when exp(W), or exp(W + W^T) if pair is set,
+    would take an argument above the guard. max(W + W^T) <= 2 max(W), so
+    W + W^T is formed only when 2 max(W) passes the guard."""
+    top = W.max()
+    if pair and 2.0 * top > _EXP_GUARD >= top:
+        top = (W + W.T).max()
+    if top > _EXP_GUARD:
+        raise NumericOverflow(
+            f"exp argument {top:.3g} exceeds the overflow guard {_EXP_GUARD}")
 
 
 def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
@@ -85,10 +90,7 @@ def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
     W + W^T keeps that product representable.
     """
     W = p.W
-    if p.parameterization == "product_form":
-        _check_exp_args(W, W + W.T)
-    else:
-        _check_exp_args(W)
+    _check_exp_args(W, pair=p.parameterization == "product_form")
     E = np.exp(W)
     S = E.sum()
     if p.parameterization == "product_form":
@@ -164,15 +166,15 @@ def dirichlet_energy(L, M) -> float:
     return float(np.vdot(M, L @ M))
 
 
-def _pair_distance_matrix(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C with C_ij = (M M^T)_ii - (M M^T)_ij, and K = C + C^T.
-
-    K_ij = ||M_i - M_j||^2, the squared row distances.
-    """
-    P = M @ M.T
-    d = np.diag(P)
-    C = d[:, None] - P
-    return C, C + C.T
+def _sq_distances(M: np.ndarray) -> np.ndarray:
+    """K with K_ij = ||M_i - M_j||^2 = d_i + d_j - 2 (M M^T)_ij, where
+    d = diag(M M^T), formed in place on the Gram matrix."""
+    K = M @ M.T
+    d = K.diagonal().copy()  # diagonal() is a view of K
+    K *= -2.0
+    K += d[:, None]
+    K += d
+    return K
 
 
 def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
@@ -197,7 +199,7 @@ def reg_value_and_grad(p: RegParam, M, *, laplacian: bool = False):
 
         dR/dW = K o E - R E
 
-    and for the product form with value R = <C, A>,
+    and for the product form with value R = <K, A>/2,
 
         dR/dW = K o A - R E
 
@@ -211,17 +213,15 @@ def reg_value_and_grad(p: RegParam, M, *, laplacian: bool = False):
     M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
-    C, K = _pair_distance_matrix(M)
+    K = _sq_distances(M)
     A, E = _adjacency(p)
     # products are formed in place: at 1682 rows each m x m array is 23 MB
     if p.parameterization == "sum_form":
+        R = float(np.vdot(K, E))
         K *= E
-        R = float(K.sum())
     else:
-        C *= A
-        R = float(C.sum())
+        R = 0.5 * float(np.vdot(K, A))
         K *= A
-    del C
     E *= R
     K -= E
     if laplacian:

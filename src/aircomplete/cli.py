@@ -16,6 +16,7 @@ import copy
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -136,9 +137,15 @@ def write_matrix_csv(path, X):
 
 def read_matrix_csv(path) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():
+            # an empty file is reported below, as a ParseError
+            warnings.filterwarnings("ignore", ".*input contained no data")
+            X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
+    if X.size == 0:
+        raise ParseError(f"{path}: no data")
+    return X
 
 
 def _resolve(out_dir: str | None, path: str | None):

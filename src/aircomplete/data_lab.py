@@ -32,12 +32,14 @@ __all__ = [
 class SamplingMask:
     """Boolean observation pattern. True entries are observed.
 
-    The pattern is fixed at construction (its count is cached), so the
-    array must not be modified afterwards.
+    The pattern is fixed at construction (its count and the row-major flat
+    indices of its observed entries are cached), so the array must not be
+    modified afterwards.
     """
 
     observed: np.ndarray
     _n_observed: int = field(init=False, repr=False, compare=False)
+    _flat_observed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=bool)
@@ -47,6 +49,7 @@ class SamplingMask:
             raise InvalidInput("mask must observe at least one entry")
         object.__setattr__(self, "observed", obs)
         object.__setattr__(self, "_n_observed", int(obs.sum()))
+        object.__setattr__(self, "_flat_observed", np.flatnonzero(obs))
 
     @property
     def rows(self) -> int:
@@ -106,8 +109,9 @@ def apply_mask(X, mask: SamplingMask, which: str = "observed") -> np.ndarray:
     if X.shape != mask.observed.shape:
         raise InvalidInput(f"shape mismatch: {X.shape} vs mask {mask.observed.shape}")
     if which == "observed":
-        return X[mask.observed]
+        return X.take(mask._flat_observed)
     if which == "unobserved":
+        # a boolean gather: the complement's flat indices would be large
         return X[~mask.observed]
     raise InvalidInput(f"which must be 'observed' or 'unobserved', got {which!r}")
 
@@ -118,7 +122,7 @@ def lift(values, mask: SamplingMask) -> np.ndarray:
     if values.shape != (mask.n_observed,):
         raise InvalidInput(f"expected {mask.n_observed} values, got {values.shape}")
     out = np.zeros(mask.observed.shape)
-    out[mask.observed] = values
+    out.ravel()[mask._flat_observed] = values
     return out
 
 

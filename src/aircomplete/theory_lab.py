@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import air_reg
-from .air_reg import (RegParam, _pair_distance_matrix, _sum_value_grad_from_K,
+from .air_reg import (RegParam, _sq_distances, _sum_value_grad_from_K,
                       build_laplacian, decay_constant, grad_wrt_X,
                       identical_row_pairs, limit_laplacian, reg_value_and_grad)
 from .dmf import balance_residuals, factor_grads_from_full, forward, initialize
@@ -277,7 +277,7 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
     S2set = set(S2)
     S1 = [(k, l) for k in range(m) for l in range(k + 1, m)
           if (k, l) not in S2set]
-    C, K = _pair_distance_matrix(M)
+    K = _sq_distances(M)
 
     W = np.full((m, m), float(eps_init))
     air_reg._check_exp_args(W)

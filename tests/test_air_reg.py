@@ -93,14 +93,26 @@ def test_laplacian_invariants_random():
 
 
 def test_exp_overflow_guard_by_form():
+    M = make_rng(0).standard_normal((2, 3))
     big = np.full((2, 2), 380.0)
-    # product form exponentiates W + W^T = 760 > guard
-    with pytest.raises(NumericOverflow):
-        build_laplacian(RegParam(big, "product_form"))
-    # sum form only exponentiates W itself, 380 is fine
-    build_laplacian(RegParam(big, "sum_form"))
-    with pytest.raises(NumericOverflow):
-        build_laplacian(RegParam(np.full((2, 2), 750.0), "sum_form"))
+    # one off-diagonal pair: W + W^T reaches 720 while max W is 360
+    pair = np.zeros((2, 2))
+    pair[0, 1] = pair[1, 0] = 360.0
+    # 2 max W = 1000 passes the guard, but W + W^T is 0 off the diagonal
+    skew = np.zeros((2, 2))
+    skew[0, 1], skew[1, 0] = 500.0, -500.0
+    for adjacency in (build_laplacian, lambda p: reg_value_and_grad(p, M)):
+        # product form exponentiates W + W^T = 760 > guard
+        with pytest.raises(NumericOverflow):
+            adjacency(RegParam(big, "product_form"))
+        # sum form only exponentiates W itself, 380 is fine
+        adjacency(RegParam(big, "sum_form"))
+        with pytest.raises(NumericOverflow):
+            adjacency(RegParam(np.full((2, 2), 750.0), "sum_form"))
+        with pytest.raises(NumericOverflow):
+            adjacency(RegParam(pair, "product_form"))
+        for form in ("product_form", "sum_form"):
+            adjacency(RegParam(skew, form))
 
 
 # ---------------------------------------------------------------------------

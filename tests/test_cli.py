@@ -246,9 +246,11 @@ def test_key_error_inside_a_handler_propagates(monkeypatch):
             "--mask", "m.pgm")
 
 
-@pytest.mark.parametrize("text", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n"],
-                         ids=["non-numeric", "ragged"])
-def test_malformed_csv_exits_one(small_problem, tmp_path, capsys, text):
+@pytest.mark.parametrize("text", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n", "",
+                                  " \n\n\t\n"],
+                         ids=["non-numeric", "ragged", "empty", "whitespace"])
+def test_malformed_csv_exits_one(small_problem, tmp_path, capsys, recwarn,
+                                 text):
     truth, mask = small_problem
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
@@ -261,6 +263,7 @@ def test_malformed_csv_exits_one(small_problem, tmp_path, capsys, text):
     assert len(err) == 2
     assert all(line.startswith("error: ") and str(bad) in line
                for line in err)
+    assert not recwarn.list
 
 
 def per_value_csv(path, X):

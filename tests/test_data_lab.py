@@ -54,6 +54,22 @@ def test_sampling_adjoint_identity():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_flat_index_gather_and_scatter_match_boolean_indexing():
+    rng = make_rng(3)
+    single = np.zeros((4, 6), dtype=bool)
+    single[2, 5] = True
+    for obs in (generate_mask(rng, 9, 7, "random", p=0.4).observed,
+                np.ones((5, 3), dtype=bool), single):
+        mask = SamplingMask(obs)
+        X = rng.standard_normal(obs.shape)
+        for Y in (X, np.asfortranarray(X)):
+            assert np.array_equal(apply_mask(Y, mask), X[obs])
+        v = rng.standard_normal(mask.n_observed)
+        ref = np.zeros(obs.shape)
+        ref[obs] = v
+        assert np.array_equal(lift(v, mask), ref)
+
+
 def test_lift_length_validation():
     with pytest.raises(InvalidInput):
         lift(np.zeros(3), diag_mask())

@@ -1,4 +1,6 @@
 """Objective assembly, optimizers, stopping rules, and trace logging."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,14 @@ def test_adam_step_bit_identical_to_textbook():
     cfg = TrainConfig(lr=3e-3)
     b1, b2 = cfg.beta1, cfg.beta2
     rng = make_rng(30)
-    params = [rng.standard_normal((5, 4)), rng.standard_normal((3, 3))]
+    # the last three span several Adam blocks (the first with a short last
+    # block), a transposed view and a single entry
+    params = [rng.standard_normal((5, 4)), rng.standard_normal((3, 3)),
+              rng.standard_normal((2500, 7)),
+              rng.standard_normal((30, 1500)).T,
+              rng.standard_normal((1, 1))]
+    assert params[2].size % trainer_mod._ADAM_BLOCK != 0
+    assert not params[3].flags.c_contiguous
     ref = [p.copy() for p in params]
     moments = ([np.zeros_like(p) for p in params],
                [np.zeros_like(p) for p in params])
@@ -194,6 +203,23 @@ def test_adam_step_bit_identical_to_textbook():
         for a, b in zip(params + moments[0] + moments[1],
                         ref + ref_m + ref_v):
             assert np.array_equal(a, b)
+
+
+def test_adam_step_allocates_no_full_size_temporary():
+    cfg = TrainConfig()
+    rng = make_rng(31)
+    params = [rng.standard_normal((1000, 1000))]
+    grads = [rng.standard_normal((1000, 1000))]
+    moments = ([np.zeros((1000, 1000))], [np.zeros((1000, 1000))])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adam_step(params, grads, moments, 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one full-size temporary would be 8 MB
+    assert peak < 0.5e6
 
 
 # ---------------------------------------------------------------------------
