@@ -4,22 +4,22 @@ The model writes the estimate as a product of factor matrices and adds a
 Dirichlet-energy penalty whose row and column graphs are themselves trained.
 Submodules:
 
-- mat_core: dense kernels, sign-fixed SVD, seeded randomness
+- mat_core: input validation, sign-fixed SVD, seeded randomness
 - data_lab: synthetic generators, observation masks, PGM input and output
 - dmf: factor chains, fidelity loss and gradients, initialization schemes
 - air_reg: adjacency parameterizations, Laplacians, energy gradients
-- trainer: joint optimization loop, stopping rules, metric traces
-- baselines: knn and iterated-SVD imputation, TV and frozen-graph variants
+- trainer: one optimization loop for every penalty, stopping rules, metric
+  traces
+- baselines: knn and iterated-SVD imputation, TV and frozen-graph penalties
 - theory_lab: numerical checks of the gradient-flow predictions
 - cli: command-line front end (entry point `aircomplete`)
 """
-from .air_reg import (LaplacianPair, RegParam, Transform, apply_transform,
-                      build_laplacian, decay_constant, dirichlet_energy,
-                      grad_wrt_W, grad_wrt_X, identical_row_pairs,
-                      limit_laplacian, normalize_rows_positive,
-                      reg_value_and_grad)
+from .air_reg import (LaplacianPair, RegParam, build_laplacian,
+                      decay_constant, dirichlet_energy, grad_wrt_X,
+                      identical_row_pairs, limit_laplacian,
+                      normalize_rows_positive, reg_value_and_grad)
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
-                        train_fixed_laplacian, train_tv, tv_value_and_grad)
+                        tv_value_and_grad)
 from .data_lab import (GroundTruth, SamplingMask, apply_mask,
                        gen_block_ratings, gen_lowrank, generate_mask, lift,
                        read_mask_pgm, read_pgm, write_mask_pgm, write_pgm)
@@ -32,17 +32,16 @@ from .mat_core import (SvdResult, finite_difference_grad, gaussian_matrix,
 from .theory_lab import (FlowReport, verify_balance, verify_theorem1,
                          verify_theorem2)
 from .trainer import (MetricTrace, ModelState, TrainConfig, auto_lambda,
-                      metrics, total_loss, train)
+                      metrics, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaplacianPair", "RegParam", "Transform", "apply_transform",
-    "build_laplacian", "decay_constant", "dirichlet_energy", "grad_wrt_W",
-    "grad_wrt_X", "identical_row_pairs", "limit_laplacian",
-    "normalize_rows_positive", "reg_value_and_grad",
+    "LaplacianPair", "RegParam", "build_laplacian", "decay_constant",
+    "dirichlet_energy", "grad_wrt_X", "identical_row_pairs",
+    "limit_laplacian", "normalize_rows_positive", "reg_value_and_grad",
     "FixedLaplacians", "TvConfig", "knn_impute", "svd_impute",
-    "train_fixed_laplacian", "train_tv", "tv_value_and_grad",
+    "tv_value_and_grad",
     "GroundTruth", "SamplingMask", "apply_mask", "gen_block_ratings",
     "gen_lowrank", "generate_mask", "lift", "read_mask_pgm", "read_pgm",
     "write_mask_pgm", "write_pgm",
@@ -54,5 +53,5 @@ __all__ = [
     "svd",
     "FlowReport", "verify_balance", "verify_theorem1", "verify_theorem2",
     "MetricTrace", "ModelState", "TrainConfig", "auto_lambda", "metrics",
-    "total_loss", "train",
+    "train",
 ]

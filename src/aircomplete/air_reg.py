@@ -30,9 +30,9 @@ from .errors import InvalidInput, NumericOverflow
 from .mat_core import as_matrix
 
 __all__ = [
-    "RegParam", "LaplacianPair", "Transform",
-    "build_laplacian", "apply_transform", "dirichlet_energy",
-    "grad_wrt_W", "grad_wrt_X", "reg_value_and_grad",
+    "RegParam", "LaplacianPair",
+    "build_laplacian", "dirichlet_energy",
+    "grad_wrt_X", "reg_value_and_grad",
     "identical_row_pairs", "limit_laplacian", "decay_constant",
     "normalize_rows_positive",
 ]
@@ -64,10 +64,9 @@ class RegParam:
 
 @dataclass(frozen=True)
 class LaplacianPair:
-    """Adjacency A, the one-sided A' = exp(W^T)/S, and Laplacian L."""
+    """Adjacency A and Laplacian L."""
 
     A: np.ndarray
-    Aprime: np.ndarray
     L: np.ndarray
 
 
@@ -114,40 +113,8 @@ def _laplacian(A: np.ndarray, out=None) -> np.ndarray:
 
 def build_laplacian(p: RegParam) -> LaplacianPair:
     """Adjacency and Laplacian for the current W."""
-    A, E = _adjacency(p)
-    return LaplacianPair(A, E.T, _laplacian(A))
-
-
-@dataclass(frozen=True)
-class Transform:
-    """Row-graph domain choice: rows, columns, or vectorized blocks."""
-
-    kind: str = "row_identity"
-    grid_rows: int = 1
-    grid_cols: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("row_identity", "column_transpose", "block"):
-            raise InvalidInput(f"unknown transform kind {self.kind!r}")
-
-
-def apply_transform(t: Transform, X) -> np.ndarray:
-    """Move X into the domain whose rows the regularizer compares."""
-    X = as_matrix(X, "transform input")
-    if t.kind == "row_identity":
-        return X
-    if t.kind == "column_transpose":
-        return X.T
-    m, n = X.shape
-    gr, gc = t.grid_rows, t.grid_cols
-    if gr < 1 or gc < 1 or m % gr != 0 or n % gc != 0:
-        raise InvalidInput(f"grid {gr}x{gc} does not divide matrix {m}x{n}")
-    bh, bw = m // gr, n // gc
-    # row j of the output is the row-major vectorization of block j,
-    # blocks ordered row-major
-    return (X.reshape(gr, bh, gc, bw)
-             .transpose(0, 2, 1, 3)
-             .reshape(gr * gc, bh * bw))
+    A, _ = _adjacency(p)
+    return LaplacianPair(A, _laplacian(A))
 
 
 def dirichlet_energy(L, M) -> float:
@@ -227,11 +194,6 @@ def reg_value_and_grad(p: RegParam, M, *, laplacian: bool = False):
     if laplacian:
         return R, K, _laplacian(A, out=A)
     return R, K
-
-
-def grad_wrt_W(p: RegParam, M) -> np.ndarray:
-    """Gradient of the Dirichlet energy with respect to W."""
-    return reg_value_and_grad(p, M)[1]
 
 
 def grad_wrt_X(Lr, Lc, X, lam_r: float, lam_c: float) -> np.ndarray:

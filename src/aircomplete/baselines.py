@@ -1,34 +1,30 @@
-"""Comparison methods: KNN and iterative-SVD imputation, total-variation
-regularized factorization, and factorization with frozen Laplacians."""
+"""Comparison methods: KNN and iterative-SVD imputation, plus the inputs of
+the two alternative penalties that `trainer.train` runs, smoothed total
+variation and frozen graph Laplacians."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import air_reg, trainer
+from .air_reg import build_laplacian
 from .data_lab import SamplingMask
-from .dmf import FactorChain
 from .errors import ImputeError, InvalidInput
 from .mat_core import as_matrix, svd
 
 __all__ = [
     "TvConfig", "FixedLaplacians",
     "knn_impute", "svd_impute", "tv_value_and_grad",
-    "train_fixed_laplacian", "train_tv",
 ]
 
 
 @dataclass(frozen=True)
 class TvConfig:
     eps: float = 1e-6
-    lam_tv: float = 0.0
 
     def __post_init__(self):
         if not self.eps > 0:
             raise InvalidInput("tv smoothing eps must be positive")
-        if self.lam_tv < 0:
-            raise InvalidInput("tv weight must be nonnegative")
 
 
 _LAP_TOL = 1e-8
@@ -55,10 +51,10 @@ class FixedLaplacians:
             object.__setattr__(self, name, L)
 
     @classmethod
-    def from_state(cls, state: trainer.ModelState, source: str = "external"):
-        """Snapshot the Laplacians a model currently encodes."""
-        return cls(air_reg.build_laplacian(state.reg_row).L,
-                   air_reg.build_laplacian(state.reg_col).L, source)
+    def from_state(cls, state, source: str = "external"):
+        """Snapshot the Laplacians a trainer.ModelState currently encodes."""
+        return cls(build_laplacian(state.reg_row).L,
+                   build_laplacian(state.reg_col).L, source)
 
 
 def knn_impute(Y_partial, mask: SamplingMask, k: int) -> np.ndarray:
@@ -175,68 +171,3 @@ def tv_value_and_grad(X, cfg: TvConfig) -> tuple[float, np.ndarray]:
     grad[1:, :] += gv
     grad[:-1, :] -= gv
     return value, grad
-
-
-class _TvReg:
-    """Regularizer strategy plugging smoothed TV into the training loop."""
-
-    w_params = ()
-
-    def __init__(self, cfg: TvConfig):
-        self.cfg = cfg
-
-    def compute(self, X):
-        value, grad = tv_value_and_grad(X, self.cfg)
-        return value, 0.0, self.cfg.lam_tv * grad, ()
-
-    def values(self, X):
-        return tv_value_and_grad(X, self.cfg)[0], 0.0
-
-    def post_step(self):
-        pass
-
-
-def _chain_of(state) -> FactorChain:
-    return state.chain if isinstance(state, trainer.ModelState) else state
-
-
-def train_fixed_laplacian(state, fixed: FixedLaplacians, mask: SamplingMask,
-                          y_obs, cfg: trainer.TrainConfig, ground_truth=None):
-    """Same loop as trainer.train but with L_r, L_c held at the supplied
-    matrices. state may be a ModelState (whose graph parameters are then
-    ignored) or a bare FactorChain."""
-    chain = _chain_of(state)
-    m, n = chain.shape
-    if fixed.L_r.shape != (m, m) or fixed.L_c.shape != (n, n):
-        raise InvalidInput(f"Laplacian shapes {fixed.L_r.shape}/{fixed.L_c.shape} "
-                           f"vs model {(m, n)}")
-    lam_r, lam_c = trainer.resolve_lambda(cfg, y_obs, m, n)
-    if lam_r == 0 and lam_c == 0:
-        strategy = trainer._NoReg()
-    else:
-        strategy = trainer._FrozenReg(fixed.L_r, fixed.L_c, lam_r, lam_c)
-    trace = trainer._train_loop(chain, strategy, mask, y_obs, cfg,
-                                lam_r, lam_c, ground_truth)
-    return state, trace
-
-
-def train_tv(state, mask: SamplingMask, y_obs, cfg: trainer.TrainConfig,
-             tv_cfg: TvConfig | None = None, ground_truth=None):
-    """Factorization trained against fidelity plus weighted TV on X.
-
-    With tv_cfg omitted, the weight defaults to the same value auto
-    lambda selection would pick, for comparability across regularizers.
-    The trace's reg_r column carries the weighted TV term; reg_c is 0.
-    """
-    chain = _chain_of(state)
-    m, n = chain.shape
-    if tv_cfg is None:
-        lam, _ = trainer.auto_lambda(y_obs, m, n)
-        tv_cfg = TvConfig(lam_tv=lam)
-    if tv_cfg.lam_tv == 0:
-        strategy = trainer._NoReg()
-    else:
-        strategy = _TvReg(tv_cfg)
-    trace = trainer._train_loop(chain, strategy, mask, y_obs, cfg,
-                                tv_cfg.lam_tv, 0.0, ground_truth)
-    return state, trace

@@ -22,10 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import theory_lab, trainer
-from .air_reg import (RegParam, build_laplacian, dirichlet_energy,
-                      grad_wrt_W, grad_wrt_X)
+from .air_reg import (RegParam, build_laplacian, dirichlet_energy, grad_wrt_X,
+                      reg_value_and_grad)
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
-                        train_fixed_laplacian, train_tv, tv_value_and_grad)
+                        tv_value_and_grad)
 from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
                        gen_lowrank, generate_mask, read_mask_pgm, read_pgm,
                        write_mask_pgm, write_pgm)
@@ -33,7 +33,7 @@ from .dmf import FactorChain, fidelity_grad, fidelity_loss, initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
 from .mat_core import finite_difference_grad, gaussian_matrix, make_rng
-from .trainer import ModelState, TrainConfig, train
+from .trainer import MetricTrace, ModelState, TrainConfig, train
 
 __all__ = ["main", "run_complete", "run_sweep", "run_verify", "default_config"]
 
@@ -64,13 +64,54 @@ def default_config() -> dict:
     })
 
 
+_DEFAULTS = default_config()
+
+# the type of each key whose default is null; other keys take their
+# default's type
+_NULL_DEFAULT_TYPES = {"model_seed": int, "stopping.delta": float,
+                       "stopping.mse_obs": float,
+                       "regularizer.tv_weight": float}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string or null"}
+
+
+def _lookup(tree: dict, path: str):
+    for key in path.split("."):
+        tree = tree[key]
+    return tree
+
+
+def _key_type(path: str) -> type:
+    default = _lookup(_DEFAULTS, path)
+    if default is None:
+        return _NULL_DEFAULT_TYPES.get(path, str)
+    return type(default)
+
+
+def _check_value(path: str, val):
+    """Integer keys take ints but not bools, float keys ints or floats,
+    string keys a string or null; a key whose default is null takes null."""
+    want = _key_type(path)
+    if val is None:
+        ok = want is str or _lookup(_DEFAULTS, path) is None
+    else:
+        ok = (isinstance(val, (int, float) if want is float else want)
+              and not isinstance(val, bool))
+    if not ok:
+        raise InvalidInput(f"config key {path!r} must be {_TYPE_NAMES[want]}, "
+                           f"got {val!r}")
+
+
 def _deep_update(base: dict, upd: dict, path: str = "") -> dict:
     for key, val in upd.items():
         if key not in base:
             raise InvalidInput(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise InvalidInput(f"config key {path + key!r} must be an "
+                                   f"object, got {val!r}")
             _deep_update(base[key], val, path + key + ".")
         else:
+            _check_value(path + key, val)
             base[key] = val
     return base
 
@@ -91,21 +132,21 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 _ENUMS = {
-    ("data", "kind"): ("lowrank", "block_ratings", "image"),
-    ("mask", "kind"): ("random", "patch", "texture", "file"),
-    ("model", "init"): ("gaussian", "balanced_spectral"),
-    ("regularizer", "mode"): ("air", "none", "tv", "fixed"),
-    ("regularizer", "parameterization"): ("product_form", "sum_form"),
-    ("regularizer", "lambda_mode"): ("paper_auto", "explicit"),
-    ("optimizer", "kind"): ("adam", "gd"),
+    "data.kind": ("lowrank", "block_ratings", "image"),
+    "mask.kind": ("random", "patch", "texture", "file"),
+    "model.init": ("gaussian", "balanced_spectral"),
+    "regularizer.mode": ("air", "none", "tv", "fixed"),
+    "regularizer.parameterization": ("product_form", "sum_form"),
+    "regularizer.lambda_mode": ("paper_auto", "explicit"),
+    "optimizer.kind": ("adam", "gd"),
 }
 
 
 def _validate_config(cfg: dict):
-    for (sect, key), allowed in _ENUMS.items():
-        val = cfg[sect][key]
+    for path, allowed in _ENUMS.items():
+        val = _lookup(cfg, path)
         if val not in allowed:
-            raise InvalidInput(f"{sect}.{key} must be one of {allowed}, "
+            raise InvalidInput(f"{path} must be one of {allowed}, "
                                f"got {val!r}")
     if cfg["model"]["depth"] < 2:
         raise InvalidInput("model depth must be at least 2")
@@ -207,15 +248,20 @@ def _build_state(cfg: dict, m: int, n: int, rng) -> ModelState:
     return ModelState(chain, reg_row, reg_col, adaptive=reg["mode"] == "air")
 
 
-def _train_config(cfg: dict, mode: str) -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     opt = cfg["optimizer"]
     stop = cfg["stopping"]
     reg = cfg["regularizer"]
-    if mode == "none":
+    lambda_mode = reg["lambda_mode"]
+    lam_r, lam_c = reg["lambda_row"], reg["lambda_col"]
+    if reg["mode"] == "none":
         lambda_mode, lam_r, lam_c = "explicit", 0.0, 0.0
-    else:
-        lambda_mode = reg["lambda_mode"]
-        lam_r, lam_c = reg["lambda_row"], reg["lambda_col"]
+    elif reg["mode"] == "tv":
+        # TV is weighted by lambda_row: tv_weight when set, else auto
+        if reg["tv_weight"] is None:
+            lambda_mode = "paper_auto"
+        else:
+            lambda_mode, lam_r, lam_c = "explicit", reg["tv_weight"], 0.0
     return TrainConfig(
         optimizer=opt["kind"], lr=opt["lr"], beta1=opt["beta1"],
         beta2=opt["beta2"], eps=opt["eps"], max_iters=stop["max_iters"],
@@ -239,7 +285,7 @@ def _write_outputs(cfg: dict, out_dir, X, trace, mask, truth, is_image):
     report = {"nmae": nmae, "mse_obs": mse_obs, "mse_unobs": mse_unobs,
               "iters": int(trace.iters[-1]) if len(trace) else 0,
               "stop_reason": trace.stop_reason}
-    if trace_path:
+    if trace_path and len(trace):
         trace.write_csv(trace_path)
     if rec_path:
         if is_image:
@@ -264,32 +310,24 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
     model_rng = rng if cfg["model_seed"] is None else make_rng(cfg["model_seed"])
     state = _build_state(cfg, m, n, model_rng)
 
-    mode = cfg["regularizer"]["mode"]
-    tcfg = _train_config(cfg, mode)
-    fixed = None
-    if mode == "fixed":
-        path = cfg["regularizer"]["fixed_path"]
+    reg = cfg["regularizer"]
+    tcfg = _train_config(cfg)
+    penalty = None
+    if reg["mode"] == "tv":
+        penalty = TvConfig(eps=reg["tv_eps"])
+    elif reg["mode"] == "fixed":
+        path = reg["fixed_path"]
         if path is None:
             raise InvalidInput("regularizer.mode fixed requires fixed_path")
         with np.load(path) as z:
             for key in ("L_r", "L_c"):
                 if key not in z:
                     raise InvalidInput(f"{path} has no array {key!r}")
-            fixed = FixedLaplacians(z["L_r"], z["L_c"], source="external")
+            penalty = FixedLaplacians(z["L_r"], z["L_c"], source="external")
     # preconditions all hold past this point, safe to touch the filesystem
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    if mode in ("air", "none"):
-        _, trace = train(state, mask, y_obs, tcfg, truth)
-    elif mode == "tv":
-        reg = cfg["regularizer"]
-        weight = reg["tv_weight"]
-        if weight is None:
-            weight, _ = trainer.auto_lambda(y_obs, m, n)
-        _, trace = train_tv(state, mask, y_obs, tcfg,
-                            TvConfig(eps=reg["tv_eps"], lam_tv=weight), truth)
-    else:
-        _, trace = train_fixed_laplacian(state, fixed, mask, y_obs, tcfg, truth)
+    _, trace = train(state, mask, y_obs, tcfg, truth, penalty=penalty)
 
     X = trainer.forward(state.chain)
     return _write_outputs(cfg, out_dir, X, trace, mask, truth, is_image)
@@ -366,7 +404,7 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
                 return dirichlet_energy(build_laplacian(RegParam(Wx, par)).L, M)
 
             num = finite_difference_grad(energy, W)
-            ana = grad_wrt_W(p, M)
+            ana = reg_value_and_grad(p, M)[1]
             rel = float(np.max(np.abs(ana - num)) / (np.max(np.abs(num)) + 1e-300))
             worst = max(worst, rel)
             lines.append(f"gradcheck adjacency {par} m={m}: rel err {rel:.3e}")
@@ -477,95 +515,63 @@ def run_verify(kind: str, args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_complete_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--model-seed", type=int, dest="model_seed")
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--data-kind", choices=("lowrank", "block_ratings", "image"))
-    p.add_argument("--data-path")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--row-groups", type=int)
-    p.add_argument("--col-groups", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--mask-kind", choices=("random", "patch", "texture", "file"))
-    p.add_argument("--mask-path")
-    p.add_argument("--missing", type=float)
-    p.add_argument("--patch-top", type=int)
-    p.add_argument("--patch-left", type=int)
-    p.add_argument("--patch-height", type=int)
-    p.add_argument("--patch-width", type=int)
-    p.add_argument("--period", type=int)
-    p.add_argument("--thickness", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--init", choices=("gaussian", "balanced_spectral"))
-    p.add_argument("--reg", choices=("air", "none", "tv", "fixed"))
-    p.add_argument("--parameterization", choices=("product_form", "sum_form"))
-    p.add_argument("--lambda-mode", choices=("paper_auto", "explicit"))
-    p.add_argument("--lambda-row", type=float)
-    p.add_argument("--lambda-col", type=float)
-    p.add_argument("--tv-weight", type=float)
-    p.add_argument("--fixed-path")
-    p.add_argument("--optimizer", choices=("adam", "gd"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--stop-delta", type=float)
-    p.add_argument("--stop-patience", type=int)
-    p.add_argument("--stop-warmup", type=int)
-    p.add_argument("--stop-mse-obs", type=float)
-    p.add_argument("--log-every", type=int)
-    p.add_argument("--track-sigmas", type=int)
-    p.add_argument("--trace-csv")
-    p.add_argument("--recovered")
-    p.add_argument("--report")
+# The flags of complete, baseline and sweep in --help order, each with the
+# config key it sets; --config and --out-dir set none. A flag's type is its
+# key's type, its choices the key's _ENUMS entry.
+_FLAGS = (
+    ("--config", None), ("--seed", "seed"), ("--model-seed", "model_seed"),
+    ("--out-dir", None),
+    ("--data-kind", "data.kind"), ("--data-path", "data.path"),
+    ("--rows", "data.rows"), ("--cols", "data.cols"), ("--rank", "data.rank"),
+    ("--row-groups", "data.row_groups"), ("--col-groups", "data.col_groups"),
+    ("--noise", "data.noise"),
+    ("--mask-kind", "mask.kind"), ("--mask-path", "mask.path"),
+    ("--missing", "mask.missing"), ("--patch-top", "mask.top"),
+    ("--patch-left", "mask.left"), ("--patch-height", "mask.height"),
+    ("--patch-width", "mask.width"), ("--period", "mask.period"),
+    ("--thickness", "mask.thickness"),
+    ("--depth", "model.depth"), ("--width", "model.width"),
+    ("--init", "model.init"),
+    ("--reg", "regularizer.mode"),
+    ("--parameterization", "regularizer.parameterization"),
+    ("--lambda-mode", "regularizer.lambda_mode"),
+    ("--lambda-row", "regularizer.lambda_row"),
+    ("--lambda-col", "regularizer.lambda_col"),
+    ("--tv-weight", "regularizer.tv_weight"),
+    ("--fixed-path", "regularizer.fixed_path"),
+    ("--optimizer", "optimizer.kind"), ("--lr", "optimizer.lr"),
+    ("--max-iters", "stopping.max_iters"), ("--stop-delta", "stopping.delta"),
+    ("--stop-patience", "stopping.patience"),
+    ("--stop-warmup", "stopping.warmup"),
+    ("--stop-mse-obs", "stopping.mse_obs"),
+    ("--log-every", "log_every"),
+    ("--track-sigmas", "track_singular_values"),
+    ("--trace-csv", "outputs.trace_csv"),
+    ("--recovered", "outputs.recovered_path"),
+    ("--report", "outputs.report_path"),
+)
 
 
-_FLAG_MAP = {
-    "seed": ("seed",), "model_seed": ("model_seed",),
-    "data_kind": ("data", "kind"), "data_path": ("data", "path"),
-    "rows": ("data", "rows"), "cols": ("data", "cols"),
-    "rank": ("data", "rank"), "row_groups": ("data", "row_groups"),
-    "col_groups": ("data", "col_groups"), "noise": ("data", "noise"),
-    "mask_kind": ("mask", "kind"), "mask_path": ("mask", "path"),
-    "missing": ("mask", "missing"), "patch_top": ("mask", "top"),
-    "patch_left": ("mask", "left"), "patch_height": ("mask", "height"),
-    "patch_width": ("mask", "width"), "period": ("mask", "period"),
-    "thickness": ("mask", "thickness"),
-    "depth": ("model", "depth"), "width": ("model", "width"),
-    "init": ("model", "init"),
-    "reg": ("regularizer", "mode"),
-    "parameterization": ("regularizer", "parameterization"),
-    "lambda_mode": ("regularizer", "lambda_mode"),
-    "lambda_row": ("regularizer", "lambda_row"),
-    "lambda_col": ("regularizer", "lambda_col"),
-    "tv_weight": ("regularizer", "tv_weight"),
-    "fixed_path": ("regularizer", "fixed_path"),
-    "optimizer": ("optimizer", "kind"), "lr": ("optimizer", "lr"),
-    "max_iters": ("stopping", "max_iters"), "stop_delta": ("stopping", "delta"),
-    "stop_patience": ("stopping", "patience"),
-    "stop_warmup": ("stopping", "warmup"),
-    "stop_mse_obs": ("stopping", "mse_obs"),
-    "log_every": ("log_every",),
-    "track_sigmas": ("track_singular_values",),
-    "trace_csv": ("outputs", "trace_csv"),
-    "recovered": ("outputs", "recovered_path"),
-    "report": ("outputs", "report_path"),
-}
+def _add_run_flags(p: argparse.ArgumentParser):
+    for flag, path in _FLAGS:
+        if path is None:
+            p.add_argument(flag, default="." if flag == "--out-dir" else None)
+        else:
+            p.add_argument(flag, type=_key_type(path),
+                           choices=_ENUMS.get(path))
 
 
 def _overrides_from_args(args) -> dict:
     out: dict = {}
-    for flag, path in _FLAG_MAP.items():
-        val = getattr(args, flag, None)
-        if val is None:
+    for flag, path in _FLAGS:
+        val = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None or val is None:
             continue
+        *sections, key = path.split(".")
         node = out
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = val
+        for sect in sections:
+            node = node.setdefault(sect, {})
+        node[key] = val
     return out
 
 
@@ -604,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
 
     g = sub.add_parser("complete", help="train a completion model")
-    _add_complete_flags(g)
+    _add_run_flags(g)
 
     g = sub.add_parser("baseline", help="run a comparison method")
     g.add_argument("--method", required=True,
@@ -613,13 +619,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--svd-rank", type=int, default=10)
     g.add_argument("--svd-tol", type=float, default=1e-6)
     g.add_argument("--svd-rounds", type=int, default=200)
-    _add_complete_flags(g)
+    _add_run_flags(g)
 
     g = sub.add_parser("sweep", help="repeat a run along depth or width")
     g.add_argument("--axis", required=True, choices=("depth", "width"))
     g.add_argument("--values", required=True,
                    help="comma-separated integers, e.g. 2,3,4")
-    _add_complete_flags(g)
+    _add_run_flags(g)
 
     g = sub.add_parser("verify", help="run the numerical verification suites")
     g.add_argument("--kind", required=True,
@@ -649,12 +655,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # command handlers
 
 def _cmd_gen_data(args) -> int:
-    rng = make_rng(args.seed)
-    if args.kind == "lowrank":
-        gt = gen_lowrank(rng, args.rows, args.cols, args.rank)
-    else:
-        gt = gen_block_ratings(rng, args.rows, args.cols, args.row_groups,
-                               args.col_groups, noise=args.noise)
+    # the flags are named as the data section's keys
+    gt, _ = _build_data({"data": dict(vars(args), path=None)},
+                        make_rng(args.seed))
     if _is_pgm(args.out):
         write_pgm(gt.full, args.out)
     else:
@@ -664,16 +667,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_gen_mask(args) -> int:
-    rng = make_rng(args.seed)
-    if args.kind == "random":
-        mask = generate_mask(rng, args.rows, args.cols, "random",
-                             p=args.missing)
-    elif args.kind == "patch":
-        mask = generate_mask(rng, args.rows, args.cols, "patch", r0=args.top,
-                             c0=args.left, h=args.height, w=args.width)
-    else:
-        mask = generate_mask(rng, args.rows, args.cols, "texture",
-                             period=args.period, thickness=args.thickness)
+    # the flags are named as the mask section's keys
+    mask = _build_mask({"mask": dict(vars(args), path=None)},
+                       make_rng(args.seed), (args.rows, args.cols))
     write_mask_pgm(mask, args.out)
     print(f"wrote mask ({mask.n_observed} observed of "
           f"{args.rows * args.cols}) to {args.out}")
@@ -701,24 +697,12 @@ def _cmd_baseline(args) -> int:
     else:
         X = svd_impute(masked, mask, args.svd_rank, tol=args.svd_tol,
                        max_rounds=args.svd_rounds)
-    mse_obs, mse_unobs, nmae = trainer.metrics(X, truth, mask)
-    report = {"nmae": nmae, "mse_obs": mse_obs, "mse_unobs": mse_unobs,
-              "iters": 0, "stop_reason": args.method}
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    rec_path = cfg["outputs"]["recovered_path"]
-    if rec_path is None:
-        rec_path = "recovered.pgm" if is_image else "recovered.csv"
-    rec_path = _resolve(args.out_dir, rec_path)
-    if is_image:
-        write_pgm(np.clip(X, 0.0, 1.0) * 255.0, rec_path)
-    else:
-        write_matrix_csv(rec_path, X)
-    report_path = _resolve(args.out_dir, cfg["outputs"]["report_path"])
-    if report_path:
-        with open(report_path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+    # an empty trace: no trace file, 0 iterations
+    report = _write_outputs(cfg, args.out_dir, X,
+                            MetricTrace(stop_reason=args.method), mask,
+                            truth, is_image)
     print(json.dumps(report, indent=2))
     return 0
 

@@ -1,4 +1,4 @@
-"""Dense matrix kernels, SVD with a fixed sign convention, and seeded randomness.
+"""Input validation, SVD with a fixed sign convention, and seeded randomness.
 
 Matrices are numpy float64 arrays in C (row-major) order throughout the
 package. The random generator is PCG64, which produces identical streams
@@ -17,13 +17,6 @@ __all__ = [
     "make_rng",
     "svd",
     "gaussian_matrix",
-    "matmul",
-    "transpose",
-    "elementwise_exp",
-    "hadamard",
-    "trace",
-    "fro_norm",
-    "row_sums",
     "as_matrix",
     "finite_difference_grad",
 ]
@@ -88,38 +81,6 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int,
     if variance < 0:
         raise InvalidInput(f"variance must be nonnegative, got {variance}")
     return rng.normal(mean, np.sqrt(variance), size=(rows, cols))
-
-
-# Plumbing kernels. These carry the standard algebraic contracts and exist
-# so callers have one audited vocabulary for the identities tested in the
-# suite; internally they defer to numpy.
-
-def matmul(A, B) -> np.ndarray:
-    return np.asarray(A) @ np.asarray(B)
-
-
-def transpose(A) -> np.ndarray:
-    return np.asarray(A).T
-
-
-def elementwise_exp(A) -> np.ndarray:
-    return np.exp(np.asarray(A))
-
-
-def hadamard(A, B) -> np.ndarray:
-    return np.asarray(A) * np.asarray(B)
-
-
-def trace(A) -> float:
-    return float(np.trace(np.asarray(A)))
-
-
-def fro_norm(A) -> float:
-    return float(np.linalg.norm(np.asarray(A)))
-
-
-def row_sums(A) -> np.ndarray:
-    return np.asarray(A).sum(axis=1)
 
 
 def finite_difference_grad(f, X, h: float = 1e-5) -> np.ndarray:

@@ -185,11 +185,10 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
         X = forward(chain, partials)
         Gx = X - Y
         if reg_on:
-            Lr = build_laplacian(reg_row).L
-            Lc = build_laplacian(reg_col).L
+            # one exponential per graph gives dR/dW and the Laplacian
+            _, gWr, Lr = reg_value_and_grad(reg_row, X, laplacian=True)
+            _, gWc, Lc = reg_value_and_grad(reg_col, X.T, laplacian=True)
             Gx = Gx + grad_wrt_X(Lr, Lc, X, lam_r, lam_c)
-            _, gWr = reg_value_and_grad(reg_row, X)
-            _, gWc = reg_value_and_grad(reg_col, X.T)
         grads = factor_grads_from_full(chain, Gx, partials)
         for W, g in zip(chain.factors, grads):
             W -= lr * g
@@ -295,7 +294,7 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
         E = np.exp(W)
         E /= E.sum()
         A = E + E.T
-        Lt = np.diag(A.sum(axis=1)) - A
+        Lt = air_reg._laplacian(A)
         R = float((K * E).sum())
         err_limit = float(np.max(np.abs(np.abs(Lt) - np.abs(Lstar))))
         e2 = max((abs(A[k, l] - gamma) for k, l in S2), default=0.0) / gamma

@@ -5,10 +5,12 @@ The objective is
     total = 1/2 ||y_obs - A(X)||^2 + lam_r tr(X^T L_r X) + lam_c tr(X L_c X^T)
 
 with X the factor-chain product and L_r, L_c either learned (adaptive) or
-frozen. All trainable parameters, factors plus the two adjacency
-parameters when adaptive, are updated jointly by one optimizer instance;
-per-array optimizer state keeps factor updates independent of whether
-the regularizer parameters ride along.
+frozen; `train`'s penalty argument can instead put lam_r times smoothed
+total variation of X in place of both graph terms. All trainable
+parameters, factors plus the two adjacency parameters when adaptive, are
+updated jointly by one optimizer instance; per-array optimizer state
+keeps factor updates independent of whether the regularizer parameters
+ride along.
 
 Stopping: the adjacency values settle before observation error does, so
 training stops when the lambda-scaled regularizer values move less than
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import air_reg
-from .air_reg import RegParam, build_laplacian, grad_wrt_X, reg_value_and_grad
+from .air_reg import RegParam, grad_wrt_X, reg_value_and_grad
+from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
 from .dmf import FactorChain, factor_grads_from_full, forward
 from .errors import DivergenceError, InvalidInput, NumericOverflow
@@ -33,7 +36,7 @@ from .mat_core import as_matrix, svd
 
 __all__ = [
     "TrainConfig", "ModelState", "MetricTrace",
-    "auto_lambda", "total_loss", "metrics",
+    "auto_lambda", "metrics",
     "adam_step", "Adam", "train",
 ]
 
@@ -206,24 +209,6 @@ def resolve_lambda(cfg: TrainConfig, y_obs, m: int, n: int) -> tuple[float, floa
     return cfg.lambda_row, cfg.lambda_col
 
 
-def total_loss(state: ModelState, mask: SamplingMask, y_obs,
-               lam_r: float, lam_c: float):
-    """(total, fidelity, reg_row, reg_col); reg values are the raw
-    Dirichlet energies, total applies the lambdas."""
-    X = forward(state.chain)
-    y = np.asarray(y_obs, dtype=np.float64).ravel()
-    if mask.observed.shape != X.shape:
-        raise InvalidInput(f"mask {mask.observed.shape} vs model {X.shape}")
-    if y.size != mask.n_observed:
-        raise InvalidInput(f"y_obs has {y.size} entries, mask observes "
-                           f"{mask.n_observed}")
-    diff = apply_mask(X, mask) - y
-    fid = 0.5 * float(diff @ diff)
-    Rr = air_reg.dirichlet_energy(build_laplacian(state.reg_row).L, X)
-    Rc = air_reg.dirichlet_energy(build_laplacian(state.reg_col).L, X.T)
-    return fid + lam_r * Rr + lam_c * Rc, fid, Rr, Rc
-
-
 def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
     """(mse_obs, mse_unobs, nmae) against known ground truth.
 
@@ -342,19 +327,24 @@ def _make_optimizer(params, cfg: TrainConfig):
 # regularizer strategies for the shared loop
 
 class _NoReg:
+    """The zero penalty, and the base of the others. compute(X) gives
+    (Rr, Rc, dPenalty/dX or None, gradients of w_params); values(X) gives
+    (Rr, Rc) alone, for the last trace row; post_step runs after each
+    optimizer step."""
+
     w_params = ()
 
     def compute(self, X):
         return 0.0, 0.0, None, ()
 
     def values(self, X):
-        return 0.0, 0.0
+        return self.compute(X)[:2]
 
     def post_step(self):
         pass
 
 
-class _AdaptiveReg:
+class _AdaptiveReg(_NoReg):
     def __init__(self, reg_row: RegParam, reg_col: RegParam,
                  lam_r: float, lam_c: float):
         self.reg_row = reg_row
@@ -373,7 +363,7 @@ class _AdaptiveReg:
         return Rr, Rc, Gx, (gWr, gWc)
 
     def values(self, X):
-        # the formula compute() uses, so every trace row has the same one
+        # compute()'s energies by the same formula, without L or the X-gradient
         return (reg_value_and_grad(self.reg_row, X)[0],
                 reg_value_and_grad(self.reg_col, X.T)[0])
 
@@ -393,9 +383,7 @@ class _AdaptiveReg:
                 np.clip(W, None, bound, out=W)
 
 
-class _FrozenReg:
-    w_params = ()
-
+class _FrozenReg(_NoReg):
     def __init__(self, Lr, Lc, lam_r: float, lam_c: float):
         self.Lr = as_matrix(Lr, "Lr")
         self.Lc = as_matrix(Lc, "Lc")
@@ -413,12 +401,17 @@ class _FrozenReg:
             Gx += 2.0 * self.lam_c * XLc
         return float(np.vdot(X, LrX)), float(np.vdot(X, XLc)), Gx, ()
 
-    def values(self, X):
-        return (float(np.vdot(X, self.Lr @ X)),
-                float(np.vdot(X, X @ self.Lc)))
 
-    def post_step(self):
-        pass
+class _TvReg(_NoReg):
+    """Smoothed TV of X weighted by lam, logged in the reg_r column."""
+
+    def __init__(self, cfg: TvConfig, lam: float):
+        self.cfg = cfg
+        self.lam = lam
+
+    def compute(self, X):
+        value, grad = tv_value_and_grad(X, self.cfg)
+        return value, 0.0, self.lam * grad, ()
 
 
 def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
@@ -536,20 +529,34 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
 
 
 def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
-          ground_truth=None):
+          ground_truth=None, penalty=None):
     """Fit the model; returns (state, MetricTrace). state is updated in
-    place. Lambdas of zero skip the regularizer entirely, so such a run
-    reproduces plain deep-factorization training bit for bit."""
+    place.
+
+    penalty selects the graph terms. None learns the graphs when
+    state.adaptive and otherwise freezes them at their current
+    Laplacians; FixedLaplacians freezes them at the given matrices; a
+    TvConfig replaces both by smoothed TV of X, weighted by the resolved
+    lambda_row and logged as reg_r (reg_c stays 0). Weights of zero skip
+    the penalty entirely, so such a run reproduces plain
+    deep-factorization training bit for bit."""
     m, n = state.chain.shape
+    if isinstance(penalty, FixedLaplacians) and (
+            penalty.L_r.shape != (m, m) or penalty.L_c.shape != (n, n)):
+        raise InvalidInput(f"Laplacian shapes {penalty.L_r.shape}/"
+                           f"{penalty.L_c.shape} vs model {(m, n)}")
     lam_r, lam_c = resolve_lambda(cfg, y_obs, m, n)
+    if isinstance(penalty, TvConfig):
+        lam_c = 0.0
     if lam_r == 0 and lam_c == 0:
         strategy = _NoReg()
-    elif state.adaptive:
+    elif isinstance(penalty, TvConfig):
+        strategy = _TvReg(penalty, lam_r)
+    elif penalty is None and state.adaptive:
         strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c)
     else:
-        strategy = _FrozenReg(build_laplacian(state.reg_row).L,
-                              build_laplacian(state.reg_col).L,
-                              lam_r, lam_c)
+        fixed = penalty or FixedLaplacians.from_state(state)
+        strategy = _FrozenReg(fixed.L_r, fixed.L_c, lam_r, lam_c)
     trace = _train_loop(state.chain, strategy, mask, y_obs, cfg,
                         lam_r, lam_c, ground_truth)
     return state, trace

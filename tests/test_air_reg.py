@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from aircomplete.air_reg import (LaplacianPair, RegParam, Transform,
-                                 apply_transform, build_laplacian,
-                                 decay_constant, dirichlet_energy, grad_wrt_W,
+from aircomplete.air_reg import (LaplacianPair, RegParam, build_laplacian,
+                                 decay_constant, dirichlet_energy,
                                  grad_wrt_X, identical_row_pairs,
                                  limit_laplacian, normalize_rows_positive,
                                  reg_value_and_grad)
@@ -62,7 +61,6 @@ def test_zero_w_sum_form_doubles_the_shared_mass():
     # A' = exp(W^T)/S is uniform 1/4; the symmetrized A = A' + A'^T is
     # uniform 1/2, twice the product form's value at W = 0
     pair = build_laplacian(RegParam(np.zeros((2, 2)), "sum_form"))
-    assert np.allclose(pair.Aprime, 0.25)
     assert np.allclose(pair.A, 0.5)
     assert np.allclose(pair.L, [[0.5, -0.5], [-0.5, 0.5]])
 
@@ -113,46 +111,6 @@ def test_exp_overflow_guard_by_form():
             adjacency(RegParam(pair, "product_form"))
         for form in ("product_form", "sum_form"):
             adjacency(RegParam(skew, form))
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-def test_transform_row_identity_and_transpose():
-    X = make_rng(0).standard_normal((3, 4))
-    assert apply_transform(Transform("row_identity"), X) is not None
-    assert np.array_equal(apply_transform(Transform("row_identity"), X), X)
-    assert np.array_equal(apply_transform(Transform("column_transpose"), X), X.T)
-    with pytest.raises(InvalidInput):
-        Transform("diagonal")
-
-
-def test_transform_unit_blocks():
-    X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = apply_transform(Transform("block", 2, 2), X)
-    assert out.shape == (4, 1)
-    assert np.array_equal(out.ravel(), [1, 2, 3, 4])
-
-
-def test_transform_block_reassembly():
-    X = make_rng(1).standard_normal((4, 4))
-    out = apply_transform(Transform("block", 2, 2), X)
-    assert out.shape == (4, 4)
-    # row j holds block j (row-major blocks, row-major within block)
-    assert np.array_equal(out[0], X[:2, :2].ravel())
-    assert np.array_equal(out[1], X[:2, 2:].ravel())
-    assert np.array_equal(out[2], X[2:, :2].ravel())
-    assert np.array_equal(out[3], X[2:, 2:].ravel())
-    back = np.empty_like(X)
-    for j in range(4):
-        r, c = divmod(j, 2)
-        back[2 * r:2 * r + 2, 2 * c:2 * c + 2] = out[j].reshape(2, 2)
-    assert np.array_equal(back, X)
-
-
-def test_transform_indivisible_grid():
-    with pytest.raises(InvalidInput):
-        apply_transform(Transform("block", 3, 2), np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +191,8 @@ def test_grad_w_identical_rows_case():
 def test_grad_w_shape_validation():
     with pytest.raises(InvalidInput):
         reg_value_and_grad(RegParam(np.zeros((3, 3))), np.zeros((4, 2)))
-    assert np.allclose(grad_wrt_W(RegParam(np.zeros((2, 2)), "sum_form"),
-                                  np.eye(2)),
+    assert np.allclose(reg_value_and_grad(RegParam(np.zeros((2, 2)),
+                                                   "sum_form"), np.eye(2))[1],
                        [[-0.25, 0.25], [0.25, -0.25]])
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from aircomplete.air_reg import RegParam, build_laplacian
 from aircomplete.baselines import (FixedLaplacians, TvConfig, knn_impute,
-                                   svd_impute, train_fixed_laplacian,
-                                   train_tv, tv_value_and_grad)
+                                   svd_impute, tv_value_and_grad)
 from aircomplete.data_lab import (SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask)
@@ -158,8 +157,6 @@ def test_svd_impute_validation():
 def test_tv_config_validation():
     with pytest.raises(InvalidInput):
         TvConfig(eps=0.0)
-    with pytest.raises(InvalidInput):
-        TvConfig(lam_tv=-1.0)
 
 
 def test_tv_constant_matrix():
@@ -244,7 +241,7 @@ def test_fixed_zero_laplacian_reduces_to_vanilla():
                       log_every=50)
     frozen = fresh_state(5, 4, seed=9)
     fx = FixedLaplacians(np.zeros((5, 5)), np.zeros((4, 4)))
-    train_fixed_laplacian(frozen, fx, mask, y, cfg)
+    train(frozen, mask, y, cfg, penalty=fx)
     vanilla = fresh_state(5, 4, seed=9)
     cfg0 = TrainConfig(max_iters=200, lambda_mode="explicit", log_every=50)
     train(vanilla, mask, y, cfg0)
@@ -266,7 +263,7 @@ def test_fixed_snapshot_at_start_matches_adaptive_first_step():
     snapshot = FixedLaplacians.from_state(adaptive)
     train(adaptive, mask, y, cfg)
     frozen = fresh_state(5, 4, seed=11)
-    train_fixed_laplacian(frozen, snapshot, mask, y, cfg)
+    train(frozen, mask, y, cfg, penalty=snapshot)
     for a, b in zip(adaptive.chain.factors, frozen.chain.factors):
         assert np.array_equal(a, b)
 
@@ -276,8 +273,8 @@ def test_fixed_shape_mismatch_rejected():
     fx = FixedLaplacians(np.zeros((3, 3)), np.zeros((4, 4)))
     mask = SamplingMask(np.ones((5, 4), dtype=bool))
     with pytest.raises(InvalidInput):
-        train_fixed_laplacian(state, fx, mask, np.zeros(20),
-                              TrainConfig(max_iters=1))
+        train(state, mask, np.zeros(20), TrainConfig(max_iters=1),
+              penalty=fx)
 
 
 def test_ground_truth_group_laplacian_beats_vanilla():
@@ -293,7 +290,7 @@ def test_ground_truth_group_laplacian_beats_vanilla():
     fx = FixedLaplacians(group_laplacian(m, rg), group_laplacian(n, cg))
     cfg1 = TrainConfig(max_iters=4000, lambda_mode="paper_auto",
                        stop_delta=0.0, log_every=200)
-    _, tr1 = train_fixed_laplacian(informed, fx, mask, y, cfg1, gt)
+    _, tr1 = train(informed, mask, y, cfg1, gt, penalty=fx)
     assert tr1.nmae[-1] < tr0.nmae[-1]
 
 
@@ -306,9 +303,9 @@ def test_train_tv_runs_and_logs_tv_in_reg_row_column():
     mask = generate_mask(rng, 8, 8, "random", p=0.3)
     y = apply_mask(gt.full, mask)
     state = fresh_state(8, 8, seed=14)
-    cfg = TrainConfig(max_iters=300, lambda_mode="explicit", stop_delta=0.0,
-                      log_every=100)
-    _, trace = train_tv(state, mask, y, cfg, TvConfig(eps=1e-6, lam_tv=0.01))
+    cfg = TrainConfig(max_iters=300, lambda_mode="explicit", lambda_row=0.01,
+                      stop_delta=0.0, log_every=100)
+    _, trace = train(state, mask, y, cfg, penalty=TvConfig(eps=1e-6))
     assert trace.reg_r[0] > 0.0       # lambda-scaled TV term
     assert all(v == 0.0 for v in trace.reg_c)
     assert trace.total[0] == pytest.approx(trace.fid[0] + trace.reg_r[0])
@@ -319,13 +316,14 @@ def test_train_tv_default_weight_is_auto_lambda():
     gt = gen_lowrank(rng, 6, 6, 2)
     mask = generate_mask(rng, 6, 6, "random", p=0.3)
     y = apply_mask(gt.full, mask)
-    cfg = TrainConfig(max_iters=100, lambda_mode="explicit", stop_delta=0.0,
-                      log_every=50)
     state_a = fresh_state(6, 6, seed=16)
-    _, tr_a = train_tv(state_a, mask, y, cfg)
+    cfg = TrainConfig(max_iters=100, stop_delta=0.0, log_every=50)
+    _, tr_a = train(state_a, mask, y, cfg, penalty=TvConfig())
     lam = float((y.max() - y.min()) / 36.0)
     state_b = fresh_state(6, 6, seed=16)
-    _, tr_b = train_tv(state_b, mask, y, cfg, TvConfig(lam_tv=lam))
+    cfg = TrainConfig(max_iters=100, lambda_mode="explicit", lambda_row=lam,
+                      stop_delta=0.0, log_every=50)
+    _, tr_b = train(state_b, mask, y, cfg, penalty=TvConfig())
     assert tr_a.reg_r == tr_b.reg_r
     for a, b in zip(state_a.chain.factors, state_b.chain.factors):
         assert np.array_equal(a, b)

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from aircomplete import cli
+from aircomplete.air_reg import RegParam
+from aircomplete.baselines import FixedLaplacians
 from aircomplete.cli import main
 from aircomplete.data_lab import read_mask_pgm, read_pgm, write_pgm
-from aircomplete.trainer import MetricTrace
+from aircomplete.dmf import initialize
+from aircomplete.mat_core import gaussian_matrix, make_rng
+from aircomplete.trainer import MetricTrace, ModelState
 
 
 def run(*argv):
@@ -185,6 +189,99 @@ def test_complete_pgm_image_pipeline(tmp_path):
     assert rec.value_range == (0.0, 255.0)
 
 
+# final trace rows (total, fid, reg_r, reg_c, mse_obs, mse_unobs, nmae) of a
+# 60-iteration run of each regularizer arm, recorded before the arms shared
+# one training entry point
+PINNED_ARMS = {
+    "air": (("--reg", "air"), (
+        77.17717287725591, 77.17527966118354, 0.000814371540798968,
+        0.0010788445315714765, 1.837506658599608, 0.4787080491726571,
+        0.06608671110630383)),
+    "none": (("--reg", "none"), (
+        77.17515593225494, 77.17515593225494, 0.0, 0.0, 1.8375037126727367,
+        0.4787078394673803, 0.06608668215602387)),
+    "tv-auto": (("--reg", "tv"), (
+        77.59828396067005, 77.22548485034112, 0.3727991103289296, 0.0,
+        1.8387020202462172, 0.4840607689447009, 0.066825665978317)),
+    "tv-0.05": (("--reg", "tv", "--tv-weight", 0.05), (
+        77.53871580191607, 77.20931441976602, 0.32940138215005943, 0.0,
+        1.838317009994429, 0.48364052621908954, 0.06676765053518836)),
+    "tv-0": (("--reg", "tv", "--tv-weight", 0), (
+        77.17515593225494, 77.17515593225494, 0.0, 0.0, 1.8375037126727367,
+        0.4787078394673803, 0.06608668215602387)),
+    "fixed": (("--reg", "fixed"), (
+        77.17843569469777, 77.17537155819119, 0.00139866437572979,
+        0.001665472130853289, 1.8375088466235998, 0.47870773266647565,
+        0.06608666741192139)),
+}
+
+
+@pytest.mark.parametrize("arm", list(PINNED_ARMS))
+def test_regularizer_arms_match_pinned_final_rows(small_problem, tmp_path,
+                                                  arm):
+    truth, mask = small_problem
+    extra, expected = PINNED_ARMS[arm]
+    if arm == "fixed":
+        rng = make_rng(21)
+        state = ModelState(initialize(12, 10, 2, scheme="gaussian", rng=rng),
+                           RegParam(gaussian_matrix(rng, 12, 12)),
+                           RegParam(gaussian_matrix(rng, 10, 10)))
+        fx = FixedLaplacians.from_state(state)
+        lap = tmp_path / "laps.npz"
+        np.savez(lap, L_r=fx.L_r, L_c=fx.L_c)
+        extra += ("--fixed-path", lap)
+    out = tmp_path / "run"
+    assert run(*complete_args(truth, mask, out, "--max-iters", 60,
+                              "--log-every", 20, *extra)) == 0
+    trace = MetricTrace.read_csv(out / "trace.csv")
+    assert trace.iters == [0, 20, 40, 60]
+    row = (trace.total[-1], trace.fid[-1], trace.reg_r[-1], trace.reg_c[-1],
+           trace.mse_obs[-1], trace.mse_unobs[-1], trace.nmae[-1])
+    assert row == pytest.approx(expected, rel=1e-9)
+
+
+def test_every_complete_flag_lands_on_its_config_key():
+    argv = ["complete", "--config", "c.json", "--seed", "1",
+            "--model-seed", "2", "--out-dir", "o", "--data-kind", "image",
+            "--data-path", "d.pgm", "--rows", "3", "--cols", "4",
+            "--rank", "5", "--row-groups", "6", "--col-groups", "7",
+            "--noise", "0.5", "--mask-kind", "patch", "--mask-path", "m.pgm",
+            "--missing", "0.25", "--patch-top", "8", "--patch-left", "9",
+            "--patch-height", "10", "--patch-width", "11", "--period", "12",
+            "--thickness", "13", "--depth", "14", "--width", "15",
+            "--init", "balanced_spectral", "--reg", "tv",
+            "--parameterization", "sum_form", "--lambda-mode", "explicit",
+            "--lambda-row", "0.125", "--lambda-col", "0.375",
+            "--tv-weight", "0.0625", "--fixed-path", "l.npz",
+            "--optimizer", "gd", "--lr", "0.01", "--max-iters", "16",
+            "--stop-delta", "0.5", "--stop-patience", "17",
+            "--stop-warmup", "18", "--stop-mse-obs", "0.001",
+            "--log-every", "19", "--track-sigmas", "20",
+            "--trace-csv", "t.csv", "--recovered", "r.csv",
+            "--report", "rep.json"]
+    args = cli._build_parser().parse_args(argv)
+    assert (args.config, args.out_dir) == ("c.json", "o")
+    assert cli._overrides_from_args(args) == {
+        "seed": 1, "model_seed": 2,
+        "data": {"kind": "image", "path": "d.pgm", "rows": 3, "cols": 4,
+                 "rank": 5, "row_groups": 6, "col_groups": 7, "noise": 0.5},
+        "mask": {"kind": "patch", "path": "m.pgm", "missing": 0.25,
+                 "top": 8, "left": 9, "height": 10, "width": 11,
+                 "period": 12, "thickness": 13},
+        "model": {"depth": 14, "width": 15, "init": "balanced_spectral"},
+        "regularizer": {"mode": "tv", "parameterization": "sum_form",
+                        "lambda_mode": "explicit", "lambda_row": 0.125,
+                        "lambda_col": 0.375, "tv_weight": 0.0625,
+                        "fixed_path": "l.npz"},
+        "optimizer": {"kind": "gd", "lr": 0.01},
+        "stopping": {"max_iters": 16, "delta": 0.5, "patience": 17,
+                     "warmup": 18, "mse_obs": 0.001},
+        "log_every": 19, "track_singular_values": 20,
+        "outputs": {"trace_csv": "t.csv", "recovered_path": "r.csv",
+                    "report_path": "rep.json"},
+    }
+
+
 # ---------------------------------------------------------------------------
 # failure classes
 
@@ -208,6 +305,24 @@ def test_unknown_config_key_exits_one_and_writes_nothing(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     assert run("complete", "--config", cfg, "--out-dir", out) == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cfg_value, key", [
+    ({"data": 5}, "'data'"),
+    ({"model": {"depth": "3"}}, "'model.depth'"),
+    ({"log_every": 2.5}, "'log_every'"),
+], ids=["scalar-for-section", "string-for-int", "float-for-int"])
+def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, capsys,
+                                                        cfg_value, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_value))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run("complete", "--config", cfg, "--rows", 6,
+               "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert list(out.iterdir()) == []
 
 

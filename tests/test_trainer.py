@@ -14,8 +14,7 @@ from aircomplete.errors import DivergenceError, InvalidInput
 from aircomplete.mat_core import gaussian_matrix, make_rng
 from aircomplete import trainer as trainer_mod
 from aircomplete.trainer import (Adam, MetricTrace, ModelState, TrainConfig,
-                                 adam_step, auto_lambda, metrics, total_loss,
-                                 train)
+                                 adam_step, auto_lambda, metrics, train)
 
 
 def small_state(m=6, n=5, L=3, seed=0, variance=1e-5, form="product_form"):
@@ -63,11 +62,19 @@ def test_auto_lambda_hand_values():
         auto_lambda(np.array([]), 4, 4)
 
 
+def first_row(state, mask, y, lam_r, lam_c):
+    # (total, fid, reg_r, reg_c) logged for the untrained state
+    cfg = TrainConfig(max_iters=1, lambda_mode="explicit", lambda_row=lam_r,
+                      lambda_col=lam_c, log_every=1)
+    _, trace = train(state, mask, y, cfg)
+    return trace.total[0], trace.fid[0], trace.reg_r[0], trace.reg_c[0]
+
+
 def test_total_loss_zero_lambda_is_fidelity():
     state = small_state()
     mask = full_mask(6, 5)
     y = make_rng(1).standard_normal(30)
-    total, fid, _, _ = total_loss(state, mask, y, 0.0, 0.0)
+    total, fid, _, _ = first_row(state, mask, y, 0.0, 0.0)
     assert total == fid
 
 
@@ -78,7 +85,7 @@ def test_total_loss_constant_matrix_kills_regularizers():
     state.chain.factors[0][:] = 1.0  # X = 0 regardless; rows/cols identical
     mask = full_mask(6, 5)
     y = np.zeros(30)
-    total, fid, Rr, Rc = total_loss(state, mask, y, 1.0, 1.0)
+    total, fid, Rr, Rc = first_row(state, mask, y, 1.0, 1.0)
     assert abs(Rr) < 1e-12 and abs(Rc) < 1e-12
     assert total == pytest.approx(fid)
 
@@ -89,23 +96,23 @@ def test_total_loss_component_oracle():
     mask = generate_mask(rng, 6, 5, "random", p=0.3)
     y = rng.standard_normal(mask.n_observed)
     lam_r, lam_c = 0.2, 0.5
-    total, fid, Rr, Rc = total_loss(state, mask, y, lam_r, lam_c)
     X = forward(state.chain)
+    Rr = dirichlet_energy(build_laplacian(state.reg_row).L, X)
+    Rc = dirichlet_energy(build_laplacian(state.reg_col).L, X.T)
+    total, fid, reg_r, reg_c = first_row(state, mask, y, lam_r, lam_c)
     d = apply_mask(X, mask) - y
     assert fid == pytest.approx(0.5 * float(d @ d), rel=1e-12)
-    assert Rr == pytest.approx(
-        dirichlet_energy(build_laplacian(state.reg_row).L, X), rel=1e-12)
-    assert Rc == pytest.approx(
-        dirichlet_energy(build_laplacian(state.reg_col).L, X.T), rel=1e-12)
+    assert reg_r == pytest.approx(lam_r * Rr, rel=1e-12)
+    assert reg_c == pytest.approx(lam_c * Rc, rel=1e-12)
     assert total == pytest.approx(fid + lam_r * Rr + lam_c * Rc, rel=1e-12)
 
 
 def test_total_loss_shape_guards():
     state = small_state()
     with pytest.raises(InvalidInput):
-        total_loss(state, full_mask(4, 4), np.zeros(16), 0.0, 0.0)
+        first_row(state, full_mask(4, 4), np.zeros(16), 0.0, 0.0)
     with pytest.raises(InvalidInput):
-        total_loss(state, full_mask(6, 5), np.zeros(7), 0.0, 0.0)
+        first_row(state, full_mask(6, 5), np.zeros(7), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
