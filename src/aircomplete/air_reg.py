@@ -2,7 +2,9 @@
 
 A trainable square matrix W parameterizes a symmetric, strictly positive
 adjacency A through elementwise exponentials, normalized by the scalar
-S = sum(exp(W)). Two parameterizations are supported:
+S = sum(exp(W)), evaluated in the log domain so that only an entry of A
+that is itself beyond float64 can overflow. Two parameterizations are
+supported:
 
 product_form
     A = exp(W + W^T) / S. Default for training.
@@ -21,6 +23,7 @@ relative on random instances.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +41,7 @@ __all__ = [
 ]
 
 _PARAMETERIZATIONS = ("product_form", "sum_form")
-_EXP_GUARD = 700.0  # exp overflows float64 just above 709
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # exp overflows above this
 
 
 @dataclass
@@ -70,35 +73,38 @@ class LaplacianPair:
     L: np.ndarray
 
 
-def _check_exp_args(W, pair: bool = False):
-    """Raise NumericOverflow when exp(W), or exp(W + W^T) if pair is set,
-    would take an argument above the guard. max(W + W^T) <= 2 max(W), so
-    W + W^T is formed only when 2 max(W) passes the guard."""
-    top = W.max()
-    if pair and 2.0 * top > _EXP_GUARD >= top:
-        top = (W + W.T).max()
-    if top > _EXP_GUARD:
-        raise NumericOverflow(
-            f"exp argument {top:.3g} exceeds the overflow guard {_EXP_GUARD}")
+def _normalized_exp(W: np.ndarray) -> tuple[np.ndarray, float]:
+    """(E, log S) with E = exp(W)/S and S = sum(exp(W)), both formed from
+    exp(W - max W), so neither overflows however large W grows."""
+    c = float(W.max())
+    E = np.subtract(W, c)
+    np.exp(E, out=E)
+    s = float(E.sum())
+    E /= s
+    return E, c + math.log(s)
 
 
 def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
-    """(A, E) for the current W, with E = exp(W)/S, from one exponential.
+    """(A, E) for the current W, with E = exp(W)/S, in the log domain.
 
-    The product form uses exp(W + W^T) = exp(W) o exp(W)^T; the guard on
-    W + W^T keeps that product representable.
+    The product form is A = exp(W + W^T - log S), exponentiated in place
+    in its one m x m buffer, and raises NumericOverflow only when an
+    entry of A itself is beyond float64. Every exponent is at most
+    2 max W - log S <= log S, so it is scanned only when S overflows.
+    The sum form, E + E^T, cannot overflow.
     """
     W = p.W
-    _check_exp_args(W, pair=p.parameterization == "product_form")
-    E = np.exp(W)
-    S = E.sum()
-    if p.parameterization == "product_form":
-        A = E * E.T
-        A /= S
-        E /= S
-    else:
-        E /= S
-        A = E.T + E
+    E, log_s = _normalized_exp(W)
+    if p.parameterization == "sum_form":
+        return E.T + E, E
+    A = np.add(W, W.T)
+    A -= log_s
+    if log_s > _LOG_MAX:
+        top = A.max()
+        if top > _LOG_MAX:
+            raise NumericOverflow(f"adjacency entry exp({top:.4g}) is "
+                                  "beyond the float64 range")
+    np.exp(A, out=A)
     return A, E
 
 
@@ -150,9 +156,7 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     Split out so flow simulations over a frozen M can skip recomputing K
     every step. Returns (value, gradient, E) with E = exp(W)/S.
     """
-    expW = np.exp(W)
-    S = expW.sum()
-    E = expW / S
+    E, _ = _normalized_exp(W)
     R = float((K * E).sum())
     return R, K * E - R * E, E
 

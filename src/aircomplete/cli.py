@@ -143,6 +143,8 @@ _ENUMS = {
 
 
 def _validate_config(cfg: dict):
+    # the key and type walk of load_config, for configs built in code
+    _deep_update(default_config(), cfg)
     for path, allowed in _ENUMS.items():
         val = _lookup(cfg, path)
         if val not in allowed:
@@ -256,12 +258,9 @@ def _train_config(cfg: dict) -> TrainConfig:
     lam_r, lam_c = reg["lambda_row"], reg["lambda_col"]
     if reg["mode"] == "none":
         lambda_mode, lam_r, lam_c = "explicit", 0.0, 0.0
-    elif reg["mode"] == "tv":
-        # TV is weighted by lambda_row: tv_weight when set, else auto
-        if reg["tv_weight"] is None:
-            lambda_mode = "paper_auto"
-        else:
-            lambda_mode, lam_r, lam_c = "explicit", reg["tv_weight"], 0.0
+    elif reg["mode"] == "tv" and reg["tv_weight"] is not None:
+        # TV is weighted by lambda_row: tv_weight when set, else as resolved
+        lambda_mode, lam_r, lam_c = "explicit", reg["tv_weight"], 0.0
     return TrainConfig(
         optimizer=opt["kind"], lr=opt["lr"], beta1=opt["beta1"],
         beta2=opt["beta2"], eps=opt["eps"], max_iters=stop["max_iters"],
@@ -448,6 +447,9 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
 
 
 def run_verify(kind: str, args) -> int:
+    # lr and steps reach the lab only when given, so its defaults hold
+    flow = {k: getattr(args, k) for k in ("lr", "steps")
+            if getattr(args, k) is not None}
     if kind == "gradcheck":
         ok, lines = _gradcheck(args.seed)
         for ln in lines:
@@ -460,9 +462,8 @@ def run_verify(kind: str, args) -> int:
         for lam_r, lam_c, label in ((args.lambda_row, args.lambda_col, "regularized"),
                                     (0.0, 0.0, "fidelity-only")):
             rep = theory_lab.verify_theorem1(
-                m=args.rows, n=args.cols, L=args.depth, lr=args.lr,
-                steps=args.steps, lam_r=lam_r, lam_c=lam_c,
-                rng=make_rng(args.seed))
+                m=args.rows, n=args.cols, L=args.depth, lam_r=lam_r,
+                lam_c=lam_c, rng=make_rng(args.seed), **flow)
             v = rep.verdict
             print(f"thm1 {label}: {'PASS' if rep.passed else 'FAIL'} "
                   f"(variant {v['selected_variant']}, max rel err "
@@ -476,8 +477,7 @@ def run_verify(kind: str, args) -> int:
 
     if kind == "thm2":
         M = _EXAMPLE_ROWS if args.matrix is None else read_matrix_csv(args.matrix)
-        rep = theory_lab.verify_theorem2(M, lr=args.lr, steps=args.steps,
-                                         eps_init=args.eps_init)
+        rep = theory_lab.verify_theorem2(M, eps_init=args.eps_init, **flow)
         v = rep.verdict
         print(f"thm2 symmetry: {'PASS' if v['sym_ok'] else 'FAIL'} "
               f"(max residual {v['sym_max']:.3e})")
@@ -499,9 +499,8 @@ def run_verify(kind: str, args) -> int:
 
     if kind == "balance":
         rep = theory_lab.verify_balance(m=args.rows, n=args.cols,
-                                        L=args.depth, lr=args.lr,
-                                        steps=args.steps,
-                                        rng=make_rng(args.seed))
+                                        L=args.depth, rng=make_rng(args.seed),
+                                        **flow)
         v = rep.verdict
         print(f"balance: {'PASS' if rep.passed else 'FAIL'} "
               f"(max relative residual {v['max_relative_residual']:.3e})")
@@ -732,17 +731,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    defaults = {"thm1": (1e-5, 1010), "thm2": (1e-2, 200_000),
-                "balance": (1e-4, 1000), "gradcheck": (None, None)}
-    lr, steps = defaults[args.kind]
-    if args.lr is None:
-        args.lr = lr
-    if args.steps is None:
-        args.steps = steps
-    return run_verify(args.kind, args)
-
-
 def _load_unit_matrix(path) -> np.ndarray:
     if _is_pgm(path):
         raw = read_pgm(path)
@@ -770,7 +758,7 @@ _HANDLERS = {
     "complete": _cmd_complete,
     "baseline": _cmd_baseline,
     "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+    "verify": lambda args: run_verify(args.kind, args),
     "eval": _cmd_eval,
 }
 

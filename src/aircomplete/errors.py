@@ -6,7 +6,8 @@ class InvalidInput(ValueError):
 
 
 class NumericOverflow(ArithmeticError):
-    """Raised when an elementwise exponential would overflow float64."""
+    """Raised when an adjacency entry exp(W_ij + W_ji - log S) is beyond
+    float64. A training run ends the message with the iteration."""
 
 
 class ParseError(ValueError):

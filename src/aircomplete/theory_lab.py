@@ -278,8 +278,8 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
           if (k, l) not in S2set]
     K = _sq_distances(M)
 
-    W = np.full((m, m), float(eps_init))
-    air_reg._check_exp_args(W)
+    p = RegParam(np.full((m, m), float(eps_init)), "sum_form")
+    W = p.W  # updated in place, so p follows the flow
 
     marks = np.unique(np.round(np.logspace(0, np.log10(max(steps, 2)),
                                            n_checkpoints)).astype(int))
@@ -291,9 +291,7 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
                  "sym_residual", "bound"))
 
     def inspect(it):
-        E = np.exp(W)
-        E /= E.sum()
-        A = E + E.T
+        A, E = air_reg._adjacency(p)
         Lt = air_reg._laplacian(A)
         R = float((K * E).sum())
         err_limit = float(np.max(np.abs(np.abs(Lt) - np.abs(Lstar))))

@@ -21,12 +21,10 @@ the other exits.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import air_reg
 from .air_reg import RegParam, grad_wrt_X, reg_value_and_grad
 from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
@@ -329,8 +327,7 @@ def _make_optimizer(params, cfg: TrainConfig):
 class _NoReg:
     """The zero penalty, and the base of the others. compute(X) gives
     (Rr, Rc, dPenalty/dX or None, gradients of w_params); values(X) gives
-    (Rr, Rc) alone, for the last trace row; post_step runs after each
-    optimizer step."""
+    (Rr, Rc) alone, for the last trace row."""
 
     w_params = ()
 
@@ -339,9 +336,6 @@ class _NoReg:
 
     def values(self, X):
         return self.compute(X)[:2]
-
-    def post_step(self):
-        pass
 
 
 class _AdaptiveReg(_NoReg):
@@ -352,7 +346,6 @@ class _AdaptiveReg(_NoReg):
         self.lam_r = lam_r
         self.lam_c = lam_c
         self.w_params = (reg_row.W, reg_col.W)
-        self._warned = False
 
     def compute(self, X):
         Rr, gWr, Lr = reg_value_and_grad(self.reg_row, X, laplacian=True)
@@ -366,21 +359,6 @@ class _AdaptiveReg(_NoReg):
         # compute()'s energies by the same formula, without L or the X-gradient
         return (reg_value_and_grad(self.reg_row, X)[0],
                 reg_value_and_grad(self.reg_col, X.T)[0])
-
-    def post_step(self):
-        # keep exp arguments representable; see build_laplacian's guard.
-        # product_form exponentiates W + W^T, so each entry gets half the
-        # headroom there.
-        for W, p in zip(self.w_params, (self.reg_row, self.reg_col)):
-            bound = air_reg._EXP_GUARD
-            if p.parameterization == "product_form":
-                bound = bound / 2.0
-            if W.max() > bound:
-                if not self._warned:
-                    warnings.warn("adjacency parameter clamped at the "
-                                  "exp overflow guard")
-                    self._warned = True
-                np.clip(W, None, bound, out=W)
 
 
 class _FrozenReg(_NoReg):
@@ -459,8 +437,7 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
         trace.append(it, total, fid, lam_r * Rr, lam_c * Rc, sq / n_obs,
                      mse_un, nm, sig)
 
-    def diverged(it, what):
-        err = DivergenceError(it, what)
+    def failed(err):
         err.trace = trace  # callers may flush the partial log
         return err
 
@@ -473,7 +450,7 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
             X = forward(chain, partials)
         if not np.isfinite(X).all():
             # factors can stay finite while their product overflows
-            raise diverged(it + 1, "estimate")
+            raise failed(DivergenceError(it + 1, "estimate"))
         diff = apply_mask(X, mask) - y
         sq = float(diff @ diff)
         last = it == cfg.max_iters
@@ -487,11 +464,11 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
             else:
                 Rr, Rc, Gx, w_grads = strategy.compute(X)
         except NumericOverflow as err:
-            err.trace = trace  # callers may flush the partial log
-            raise
+            raise failed(NumericOverflow(
+                f"{err} at iteration {it + 1}")) from err
         if not np.isfinite(sq + Rr + Rc):
             # a finite estimate can still overflow its squared residual
-            raise diverged(it + 1, "objective")
+            raise failed(DivergenceError(it + 1, "objective"))
         if it % cfg.log_every == 0 or last:
             log(it, X, sq, Rr, Rc)
         if it % cfg.log_every == 0 and it > 0 and reg_active:
@@ -516,11 +493,10 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
         grads = factor_grads_from_full(chain, G, partials)
         grads.extend(w_grads)
         opt.step(grads)
-        strategy.post_step()
         for j, p in enumerate(params):
             if not np.isfinite(p).all():
                 what = f"factor {j}" if j < n_fac else "graph parameter"
-                raise diverged(it + 1, what)
+                raise failed(DivergenceError(it + 1, what))
         # free this pass's arrays before the next pass allocates its own
         del X, partials, diff, G, Gx, grads, w_grads
 

@@ -90,27 +90,29 @@ def test_laplacian_invariants_random():
                 assert x @ pair.L @ x >= -1e-12
 
 
-def test_exp_overflow_guard_by_form():
+def test_adjacency_overflows_only_when_A_does():
     M = make_rng(0).standard_normal((2, 3))
-    big = np.full((2, 2), 380.0)
     # one off-diagonal pair: W + W^T reaches 720 while max W is 360
     pair = np.zeros((2, 2))
     pair[0, 1] = pair[1, 0] = 360.0
-    # 2 max W = 1000 passes the guard, but W + W^T is 0 off the diagonal
+    # 2 max W = 1000, but W + W^T is 0 off the diagonal
     skew = np.zeros((2, 2))
     skew[0, 1], skew[1, 0] = 500.0, -500.0
-    for adjacency in (build_laplacian, lambda p: reg_value_and_grad(p, M)):
-        # product form exponentiates W + W^T = 760 > guard
+    # each entry point returns an array formed from A
+    for adjacency in (lambda p: build_laplacian(p).L,
+                      lambda p: reg_value_and_grad(p, M)[1]):
+        # product form: A = exp(1600 - log S) with log S = 800 + log 4
         with pytest.raises(NumericOverflow):
-            adjacency(RegParam(big, "product_form"))
-        # sum form only exponentiates W itself, 380 is fine
-        adjacency(RegParam(big, "sum_form"))
-        with pytest.raises(NumericOverflow):
-            adjacency(RegParam(np.full((2, 2), 750.0), "sum_form"))
-        with pytest.raises(NumericOverflow):
-            adjacency(RegParam(pair, "product_form"))
+            adjacency(RegParam(np.full((2, 2), 800.0), "product_form"))
+        # exponents 760 - log S and 720 - log S stay below log(float max)
+        for W in (np.full((2, 2), 380.0), pair):
+            assert np.isfinite(adjacency(RegParam(W, "product_form"))).all()
+        # sum form: A = E + E^T is at most 2, whatever S is
+        for fill in (750.0, 1e4):
+            W = np.full((2, 2), fill)
+            assert np.isfinite(adjacency(RegParam(W, "sum_form"))).all()
         for form in ("product_form", "sum_form"):
-            adjacency(RegParam(skew, form))
+            assert np.isfinite(adjacency(RegParam(skew, form))).all()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from aircomplete.baselines import FixedLaplacians
 from aircomplete.cli import main
 from aircomplete.data_lab import read_mask_pgm, read_pgm, write_pgm
 from aircomplete.dmf import initialize
+from aircomplete.errors import InvalidInput
 from aircomplete.mat_core import gaussian_matrix, make_rng
 from aircomplete.trainer import MetricTrace, ModelState
 
@@ -240,6 +241,20 @@ def test_regularizer_arms_match_pinned_final_rows(small_problem, tmp_path,
     assert row == pytest.approx(expected, rel=1e-9)
 
 
+def test_tv_takes_an_explicit_lambda_row(small_problem, tmp_path):
+    truth, mask = small_problem
+    traces = []
+    for name, extra in (("weight", ("--tv-weight", 0.05)),
+                        ("explicit", ("--lambda-mode", "explicit",
+                                      "--lambda-row", 0.05))):
+        out = tmp_path / name
+        assert run(*complete_args(truth, mask, out, "--reg", "tv",
+                                  "--max-iters", 20, "--log-every", 10,
+                                  *extra)) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_every_complete_flag_lands_on_its_config_key():
     argv = ["complete", "--config", "c.json", "--seed", "1",
             "--model-seed", "2", "--out-dir", "o", "--data-kind", "image",
@@ -324,6 +339,17 @@ def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", [
+    lambda cfg, out: cli.run_complete(cfg, out),
+    lambda cfg, out: cli.run_sweep(cfg, "width", [2], out),
+], ids=["run_complete", "run_sweep"])
+def test_library_config_gets_the_type_checks(tmp_path, entry):
+    cfg = cli.default_config()
+    cfg["model"]["depth"] = "3"
+    with pytest.raises(InvalidInput, match="'model.depth'"):
+        entry(cfg, str(tmp_path))
 
 
 def test_mask_shape_mismatch_exits_one(small_problem, tmp_path):
@@ -564,6 +590,13 @@ def test_verify_thm2_reports_rate_miss(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "verdict,passed=False" in rep.read_text()
+
+
+def test_verify_thm2_runs_from_a_large_constant_start(capsys):
+    # a constant W gives a uniform E however large, so nothing overflows
+    assert run("verify", "--kind", "thm2", "--eps-init", 800,
+               "--steps", 200) in (0, 3)
+    assert "thm2 symmetry: PASS" in capsys.readouterr().out
 
 
 def test_verify_balance_passes(capsys):

@@ -1,12 +1,15 @@
 """Property tests of the graph energy and its W-gradient over random shapes,
-both parameterizations, and inputs with duplicated rows."""
+both parameterizations, and inputs with duplicated rows, and of the
+adjacency under a constant shift of W."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from aircomplete.air_reg import RegParam, reg_value_and_grad  # noqa: E402
+from aircomplete.air_reg import (_LOG_MAX, RegParam, _adjacency,  # noqa: E402
+                                 reg_value_and_grad)
+from aircomplete.errors import NumericOverflow  # noqa: E402
 from aircomplete.mat_core import make_rng  # noqa: E402
 from test_air_reg import fd_energy_grad, pairwise_energy  # noqa: E402
 
@@ -55,3 +58,31 @@ def test_w_gradient_matches_central_differences(inputs):
     _, G = reg_value_and_grad(p, M)
     num = fd_energy_grad(p, M)
     assert np.abs(G - num).max() / np.abs(num).max() < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_inputs(), st.floats(-1e4, 1e4))
+def test_constant_shift_of_w(inputs, c):
+    """W + c leaves E and the sum-form A unchanged and shifts the
+    product-form log A by c, raising exactly when that passes log(float
+    max). The tolerance is 1e-12 relative plus the rounding of W + c."""
+    p, _ = inputs
+    tol = 1e-12 + 4 * np.finfo(float).eps * abs(c)
+    A0, E0 = _adjacency(p)
+    shifted = RegParam(p.W + c, p.parameterization)
+    if p.parameterization == "sum_form":
+        A1, E1 = _adjacency(shifted)
+        assert np.allclose(A1, A0, rtol=tol, atol=0)
+        assert np.allclose(E1, E0, rtol=tol, atol=0)
+        return
+    log_a = np.log(A0) + c
+    assume(abs(log_a.max() - _LOG_MAX) > tol)
+    if log_a.max() > _LOG_MAX:
+        with pytest.raises(NumericOverflow):
+            _adjacency(shifted)
+        return
+    A1, E1 = _adjacency(shifted)
+    assert np.allclose(E1, E0, rtol=tol, atol=0)
+    normal = log_a > np.log(np.finfo(float).tiny)
+    assert np.allclose(np.log(A1[normal]), log_a[normal],
+                       rtol=0, atol=tol)

@@ -1,5 +1,6 @@
 """Objective assembly, optimizers, stopping rules, and trace logging."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,23 @@ def test_frozen_mode_leaves_graph_parameters_alone():
     _, trace = train(state, mask, y, cfg)
     assert np.array_equal(state.reg_row.W, w_row)
     assert trace.reg_r[0] > 0  # energy logged even though W is frozen
+
+
+def test_graph_parameter_above_old_clamp_trains_unclipped():
+    # W is never clipped: one off-diagonal entry of 360 puts A near 1
+    # there, which the log domain represents without overflow
+    state = small_state(seed=11, variance=1e-2)
+    state.reg_row.W[0, 1] = 360.0
+    rng = make_rng(12)
+    mask = generate_mask(rng, 6, 5, "random", p=0.3)
+    y = rng.standard_normal(mask.n_observed)
+    cfg = TrainConfig(max_iters=5, log_every=1, lambda_mode="explicit",
+                      lambda_row=0.1, lambda_col=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = train(state, mask, y, cfg)
+    assert state.reg_row.W.max() > 359.9
+    assert len(trace) == 6 and np.isfinite(trace.total).all()
 
 
 def test_stop_on_observed_mse_threshold():
