@@ -17,7 +17,7 @@ Submodules:
 from .air_reg import (LaplacianPair, RegParam, build_laplacian,
                       decay_constant, dirichlet_energy, grad_wrt_X,
                       identical_row_pairs, limit_laplacian,
-                      normalize_rows_positive, reg_value_and_grad)
+                      reg_value_and_grad)
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
                         tv_value_and_grad)
 from .data_lab import (GroundTruth, SamplingMask, apply_mask,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LaplacianPair", "RegParam", "build_laplacian", "decay_constant",
     "dirichlet_energy", "grad_wrt_X", "identical_row_pairs",
-    "limit_laplacian", "normalize_rows_positive", "reg_value_and_grad",
+    "limit_laplacian", "reg_value_and_grad",
     "FixedLaplacians", "TvConfig", "knn_impute", "svd_impute",
     "tv_value_and_grad",
     "GroundTruth", "SamplingMask", "apply_mask", "gen_block_ratings",

@@ -37,7 +37,6 @@ __all__ = [
     "build_laplacian", "dirichlet_energy",
     "grad_wrt_X", "reg_value_and_grad",
     "identical_row_pairs", "limit_laplacian", "decay_constant",
-    "normalize_rows_positive",
 ]
 
 _PARAMETERIZATIONS = ("product_form", "sum_form")
@@ -290,15 +289,3 @@ def decay_constant(M, tol: float = 1e-12) -> float:
         warnings.warn("all rows identical: decay constant degenerates to 0")
         return 0.0
     return 4.0 * best / (m * m)
-
-
-def normalize_rows_positive(M, eps: float = 1e-2) -> np.ndarray:
-    """Shift M entrywise positive if needed, then scale rows to unit norm."""
-    M = as_matrix(M, "M").copy()
-    lo = M.min()
-    if lo <= 0:
-        M += eps - lo
-    norms = np.linalg.norm(M, axis=1)
-    if np.any(norms == 0):
-        raise InvalidInput("zero row after positivity shift")
-    return M / norms[:, None]

@@ -36,7 +36,6 @@ class FixedLaplacians:
 
     L_r: np.ndarray
     L_c: np.ndarray
-    source: str = "external"
 
     def __post_init__(self):
         for name, L in (("L_r", self.L_r), ("L_c", self.L_c)):
@@ -51,10 +50,10 @@ class FixedLaplacians:
             object.__setattr__(self, name, L)
 
     @classmethod
-    def from_state(cls, state, source: str = "external"):
+    def from_state(cls, state):
         """Snapshot the Laplacians a trainer.ModelState currently encodes."""
         return cls(build_laplacian(state.reg_row).L,
-                   build_laplacian(state.reg_col).L, source)
+                   build_laplacian(state.reg_col).L)
 
 
 def knn_impute(Y_partial, mask: SamplingMask, k: int) -> np.ndarray:

@@ -22,8 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import theory_lab, trainer
-from .air_reg import (RegParam, build_laplacian, dirichlet_energy, grad_wrt_X,
-                      reg_value_and_grad)
+from .air_reg import (_PARAMETERIZATIONS, RegParam, build_laplacian,
+                      dirichlet_energy, grad_wrt_X, reg_value_and_grad)
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
                         tv_value_and_grad)
 from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
@@ -136,9 +136,9 @@ _ENUMS = {
     "mask.kind": ("random", "patch", "texture", "file"),
     "model.init": ("gaussian", "balanced_spectral"),
     "regularizer.mode": ("air", "none", "tv", "fixed"),
-    "regularizer.parameterization": ("product_form", "sum_form"),
-    "regularizer.lambda_mode": ("paper_auto", "explicit"),
-    "optimizer.kind": ("adam", "gd"),
+    "regularizer.parameterization": _PARAMETERIZATIONS,
+    "regularizer.lambda_mode": trainer._LAMBDA_MODES,
+    "optimizer.kind": trainer._OPTIMIZERS,
 }
 
 
@@ -191,6 +191,13 @@ def read_matrix_csv(path) -> np.ndarray:
     return X
 
 
+def _load_unit_matrix(path) -> np.ndarray:
+    if _is_pgm(path):
+        raw = read_pgm(path)
+        return raw.full / raw.value_range[1]
+    return read_matrix_csv(path)
+
+
 def _resolve(out_dir: str | None, path: str | None):
     if path is None:
         return None
@@ -206,9 +213,7 @@ def _build_data(cfg: dict, rng) -> tuple[GroundTruth, bool]:
     d = cfg["data"]
     if d["path"] is not None:
         if _is_pgm(d["path"]):
-            raw = read_pgm(d["path"])
-            maxval = raw.value_range[1]
-            return GroundTruth(raw.full / maxval, (0.0, 1.0)), True
+            return GroundTruth(_load_unit_matrix(d["path"]), (0.0, 1.0)), True
         return GroundTruth.from_matrix(read_matrix_csv(d["path"])), False
     if d["kind"] == "image":
         raise InvalidInput("data.kind image requires data.path")
@@ -322,7 +327,7 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
             for key in ("L_r", "L_c"):
                 if key not in z:
                     raise InvalidInput(f"{path} has no array {key!r}")
-            penalty = FixedLaplacians(z["L_r"], z["L_c"], source="external")
+            penalty = FixedLaplacians(z["L_r"], z["L_c"])
     # preconditions all hold past this point, safe to touch the filesystem
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -393,6 +398,13 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
     rng = make_rng(seed)
     lines = []
     worst = 0.0
+
+    def check(label, ana, num):
+        nonlocal worst
+        rel = float(np.max(np.abs(ana - num)) / (np.max(np.abs(num)) + 1e-300))
+        worst = max(worst, rel)
+        lines.append(f"gradcheck {label}: rel err {rel:.3e}")
+
     for m in (4, 6, 8):
         for par in ("product_form", "sum_form"):
             W = gaussian_matrix(rng, m, m, variance=0.5)
@@ -402,11 +414,8 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
             def energy(Wx, par=par, M=M):
                 return dirichlet_energy(build_laplacian(RegParam(Wx, par)).L, M)
 
-            num = finite_difference_grad(energy, W)
-            ana = reg_value_and_grad(p, M)[1]
-            rel = float(np.max(np.abs(ana - num)) / (np.max(np.abs(num)) + 1e-300))
-            worst = max(worst, rel)
-            lines.append(f"gradcheck adjacency {par} m={m}: rel err {rel:.3e}")
+            check(f"adjacency {par} m={m}", reg_value_and_grad(p, M)[1],
+                  finite_difference_grad(energy, W))
     # factor gradients and the X-gradient of the energy terms
     chain = initialize(6, 5, 3, scheme="gaussian", rng=rng, variance=0.04)
     mask = generate_mask(rng, 6, 5, "random", p=0.3)
@@ -418,10 +427,7 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
             facs[l] = Wx
             return fidelity_loss(FactorChain(facs), mask, y)
 
-        num = finite_difference_grad(loss, chain.factors[l])
-        rel = float(np.max(np.abs(ana[l] - num)) / (np.max(np.abs(num)) + 1e-300))
-        worst = max(worst, rel)
-        lines.append(f"gradcheck factor {l}: rel err {rel:.3e}")
+        check(f"factor {l}", ana[l], finite_difference_grad(loss, chain.factors[l]))
     X = gaussian_matrix(rng, 6, 5)
     Lr = build_laplacian(RegParam(gaussian_matrix(rng, 6, 6))).L
     Lc = build_laplacian(RegParam(gaussian_matrix(rng, 5, 5))).L
@@ -429,19 +435,13 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
     def xenergy(Xx):
         return (0.4 * dirichlet_energy(Lr, Xx) + 0.6 * dirichlet_energy(Lc, Xx.T))
 
-    num = finite_difference_grad(xenergy, X)
-    ana = grad_wrt_X(Lr, Lc, X, 0.4, 0.6)
-    rel = float(np.max(np.abs(ana - num)) / (np.max(np.abs(num)) + 1e-300))
-    worst = max(worst, rel)
-    lines.append(f"gradcheck energy-in-X: rel err {rel:.3e}")
+    check("energy-in-X", grad_wrt_X(Lr, Lc, X, 0.4, 0.6),
+          finite_difference_grad(xenergy, X))
 
     tvc = TvConfig(eps=1e-3)
     Xt = gaussian_matrix(rng, 6, 6)
-    num = finite_difference_grad(lambda Z: tv_value_and_grad(Z, tvc)[0], Xt)
-    ana = tv_value_and_grad(Xt, tvc)[1]
-    rel = float(np.max(np.abs(ana - num)) / (np.max(np.abs(num)) + 1e-300))
-    worst = max(worst, rel)
-    lines.append(f"gradcheck tv: rel err {rel:.3e}")
+    check("tv", tv_value_and_grad(Xt, tvc)[1],
+          finite_difference_grad(lambda Z: tv_value_and_grad(Z, tvc)[0], Xt))
     lines.append(f"gradcheck worst: {worst:.3e} (pass bound 1e-5)")
     return worst < 1e-5, lines
 
@@ -560,6 +560,14 @@ def _add_run_flags(p: argparse.ArgumentParser):
                            choices=_ENUMS.get(path))
 
 
+def _add_default_flags(p: argparse.ArgumentParser, section: dict, *keys):
+    """A --key flag per key, typed and defaulted by a default_config()
+    section."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), type=type(section[key]),
+                       default=section[key])
+
+
 def _overrides_from_args(args) -> dict:
     out: dict = {}
     for flag, path in _FLAGS:
@@ -584,13 +592,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="write a synthetic ground-truth matrix")
     g.add_argument("--kind", choices=("lowrank", "block_ratings"),
                    default="lowrank")
-    g.add_argument("--rows", type=int, default=100)
-    g.add_argument("--cols", type=int, default=100)
-    g.add_argument("--rank", type=int, default=5)
-    g.add_argument("--row-groups", type=int, default=6)
-    g.add_argument("--col-groups", type=int, default=8)
-    g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--seed", type=int, default=0)
+    _add_default_flags(g, _DEFAULTS["data"], "rows", "cols", "rank",
+                       "row_groups", "col_groups", "noise")
+    _add_default_flags(g, _DEFAULTS, "seed")
     g.add_argument("--out", required=True)
 
     g = sub.add_parser("gen-mask", help="write an observation mask as PGM")
@@ -598,14 +602,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="random")
     g.add_argument("--rows", type=int, required=True)
     g.add_argument("--cols", type=int, required=True)
-    g.add_argument("--missing", type=float, default=0.3)
-    g.add_argument("--top", type=int, default=0)
-    g.add_argument("--left", type=int, default=0)
-    g.add_argument("--height", type=int, default=1)
-    g.add_argument("--width", type=int, default=1)
-    g.add_argument("--period", type=int, default=4)
-    g.add_argument("--thickness", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    _add_default_flags(g, _DEFAULTS["mask"], "missing", "top", "left",
+                       "height", "width", "period", "thickness")
+    _add_default_flags(g, _DEFAULTS, "seed")
     g.add_argument("--out", required=True)
 
     g = sub.add_parser("complete", help="train a completion model")
@@ -675,9 +674,19 @@ def _cmd_gen_mask(args) -> int:
     return 0
 
 
-def _cmd_complete(args) -> int:
-    cfg = load_config(args.config, _overrides_from_args(args))
-    return _cmd_complete_with_cfg(cfg, args)
+def _cmd_complete(args, cfg=None) -> int:
+    if cfg is None:
+        cfg = load_config(args.config, _overrides_from_args(args))
+    try:
+        report = run_complete(cfg, args.out_dir)
+    except (DivergenceError, NumericOverflow) as e:
+        trace = getattr(e, "trace", None)
+        if trace is not None and cfg["outputs"]["trace_csv"]:
+            trace.write_csv(_resolve(args.out_dir, cfg["outputs"]["trace_csv"]))
+            print("partial trace flushed", file=sys.stderr)
+        raise
+    print(json.dumps(report, indent=2))
+    return 0
 
 
 def _cmd_baseline(args) -> int:
@@ -685,7 +694,7 @@ def _cmd_baseline(args) -> int:
     if args.method in ("dmf", "tv", "fixed"):
         cfg["regularizer"]["mode"] = {"dmf": "none", "tv": "tv",
                                       "fixed": "fixed"}[args.method]
-        return _cmd_complete_with_cfg(cfg, args)
+        return _cmd_complete(args, cfg)
     _validate_config(cfg)
     rng = make_rng(cfg["seed"])
     truth, is_image = _build_data(cfg, rng)
@@ -706,19 +715,6 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
-def _cmd_complete_with_cfg(cfg, args) -> int:
-    try:
-        report = run_complete(cfg, args.out_dir)
-    except (DivergenceError, NumericOverflow) as e:
-        trace = getattr(e, "trace", None)
-        if trace is not None and cfg["outputs"]["trace_csv"]:
-            trace.write_csv(_resolve(args.out_dir, cfg["outputs"]["trace_csv"]))
-            print("partial trace flushed", file=sys.stderr)
-        raise
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, _overrides_from_args(args))
     try:
@@ -731,19 +727,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _load_unit_matrix(path) -> np.ndarray:
-    if _is_pgm(path):
-        raw = read_pgm(path)
-        return raw.full / raw.value_range[1]
-    return read_matrix_csv(path)
-
-
 def _cmd_eval(args) -> int:
     rec = _load_unit_matrix(args.recovered)
-    if _is_pgm(args.truth):
-        truth = GroundTruth(_load_unit_matrix(args.truth), (0.0, 1.0))
-    else:
-        truth = GroundTruth.from_matrix(read_matrix_csv(args.truth))
+    truth, _ = _build_data({"data": {"path": args.truth}}, None)
     mask = read_mask_pgm(args.mask)
     mse_obs, mse_unobs, nmae = trainer.metrics(rec, truth, mask,
                                                absolute=args.absolute)

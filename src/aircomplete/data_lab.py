@@ -52,14 +52,6 @@ class SamplingMask:
         object.__setattr__(self, "_flat_observed", np.flatnonzero(obs))
 
     @property
-    def rows(self) -> int:
-        return self.observed.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.observed.shape[1]
-
-    @property
     def n_observed(self) -> int:
         return self._n_observed
 

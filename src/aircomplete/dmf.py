@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_lab import SamplingMask, lift
+from .data_lab import SamplingMask
 from .errors import InvalidInput
 from .mat_core import gaussian_matrix, svd
 
@@ -41,9 +41,6 @@ class FactorChain:
     @property
     def shape(self) -> tuple[int, int]:
         return self.factors[-1].shape[0], self.factors[0].shape[1]
-
-    def copy(self) -> "FactorChain":
-        return FactorChain([f.copy() for f in self.factors])
 
 
 def _rmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,16 +149,13 @@ def _random_orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:
 
 def initialize(m: int, n: int, L: int, r: Optional[int] = None,
                scheme: str = "gaussian", rng: Optional[np.random.Generator] = None,
-               variance: float = 1e-5, alpha: float = 0.1,
-               seed_matrix=None) -> FactorChain:
-    """Build a factor chain under one of three initialization schemes.
+               variance: float = 1e-5, seed_matrix=None) -> FactorChain:
+    """Build a factor chain under one of two initialization schemes.
 
     gaussian
         I.i.d. N(0, variance) entries in every factor. The default
         variance 1e-5 keeps the product tiny, which is what gives
         training its low-rank bias.
-    balanced_identity
-        Every factor alpha * I. Square case only (m = n = r).
     balanced_spectral
         Exactly balanced factors whose product equals a seed matrix M:
         with M = U S V^T, the top factor is U S^(1/L) Q^T and the others
@@ -181,10 +175,6 @@ def initialize(m: int, n: int, L: int, r: Optional[int] = None,
             raise InvalidInput("gaussian init needs an rng")
         shapes = [(r, n)] + [(r, r)] * (L - 2) + [(m, r)]
         return FactorChain([gaussian_matrix(rng, *s, 0.0, variance) for s in shapes])
-    if scheme == "balanced_identity":
-        if not (m == n == r):
-            raise InvalidInput("balanced_identity requires m = n = r")
-        return FactorChain([alpha * np.eye(r) for _ in range(L)])
     if scheme == "balanced_spectral":
         if seed_matrix is None:
             if rng is None:

@@ -38,7 +38,7 @@ __all__ = [
     "adam_step", "Adam", "train",
 ]
 
-_OPTIMIZERS = ("gd", "adam")
+_OPTIMIZERS = ("adam", "gd")
 _LAMBDA_MODES = ("paper_auto", "explicit")
 
 
@@ -54,7 +54,6 @@ class TrainConfig:
     stop_delta: float | None = None
     stop_patience: int = 1
     stop_warmup: int = 500
-    stop_scaled: bool = True
     # extra exit: stop once observed MSE falls below this (checked every
     # iteration since the residual is already in hand)
     stop_mse_obs: float | None = None
@@ -108,6 +107,9 @@ class MetricTrace:
     total = fid + reg_r + reg_c row by row. Unknown-truth runs carry nan
     in the mse_unobs and nmae columns."""
 
+    _BASE_COLUMNS = ["iter", "total", "fid", "reg_r", "reg_c",
+                     "mse_obs", "mse_unobs", "nmae"]
+
     n_sigma: int = 0
     iters: list = field(default_factory=list)
     total: list = field(default_factory=list)
@@ -145,9 +147,8 @@ class MetricTrace:
         return len(self.iters)
 
     def header(self) -> str:
-        cols = ["iter", "total", "fid", "reg_r", "reg_c",
-                "mse_obs", "mse_unobs", "nmae"]
-        cols += [f"sigma_{j + 1}" for j in range(self.n_sigma)]
+        cols = self._BASE_COLUMNS + [f"sigma_{j + 1}"
+                                     for j in range(self.n_sigma)]
         return ",".join(cols)
 
     def to_csv(self) -> str:
@@ -170,11 +171,10 @@ class MetricTrace:
         if not lines:
             raise InvalidInput("empty trace CSV")
         cols = lines[0].split(",")
-        base = ["iter", "total", "fid", "reg_r", "reg_c",
-                "mse_obs", "mse_unobs", "nmae"]
-        if cols[:8] != base:
+        n_base = len(cls._BASE_COLUMNS)
+        if cols[:n_base] != cls._BASE_COLUMNS:
             raise InvalidInput(f"unexpected trace header {lines[0]!r}")
-        tr = cls(n_sigma=len(cols) - 8)
+        tr = cls(n_sigma=len(cols) - n_base)
         for ln in lines[1:]:
             parts = ln.split(",")
             if len(parts) != len(cols):
@@ -392,6 +392,9 @@ class _TvReg(_NoReg):
         return value, 0.0, self.lam * grad, ()
 
 
+# a diverging run overflows in many places; the loop checks X, the
+# objective and every parameter itself and raises with the iteration
+@np.errstate(over="ignore", invalid="ignore")
 def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
                 cfg: TrainConfig, lam_r: float, lam_c: float,
                 ground_truth=None):
@@ -446,8 +449,7 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
     stop_reason = "max_iters"
     for it in range(cfg.max_iters + 1):
         partials = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = forward(chain, partials)
+        X = forward(chain, partials)
         if not np.isfinite(X).all():
             # factors can stay finite while their product overflows
             raise failed(DivergenceError(it + 1, "estimate"))
@@ -472,7 +474,7 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
         if it % cfg.log_every == 0 or last:
             log(it, X, sq, Rr, Rc)
         if it % cfg.log_every == 0 and it > 0 and reg_active:
-            scaled = (lam_r * Rr, lam_c * Rc) if cfg.stop_scaled else (Rr, Rc)
+            scaled = (lam_r * Rr, lam_c * Rc)
             if prev_scaled is not None:
                 dr = abs(scaled[0] - prev_scaled[0])
                 dc = abs(scaled[1] - prev_scaled[1])

@@ -7,8 +7,7 @@ import pytest
 from aircomplete.air_reg import (LaplacianPair, RegParam, build_laplacian,
                                  decay_constant, dirichlet_energy,
                                  grad_wrt_X, identical_row_pairs,
-                                 limit_laplacian, normalize_rows_positive,
-                                 reg_value_and_grad)
+                                 limit_laplacian, reg_value_and_grad)
 from aircomplete.errors import InvalidInput, NumericOverflow
 from aircomplete.mat_core import gaussian_matrix, make_rng
 
@@ -282,7 +281,8 @@ def test_limit_laplacian_hypothesis_violations():
 
 def test_limit_laplacian_permutation_conjugation():
     rng = make_rng(4)
-    M = normalize_rows_positive(np.abs(rng.standard_normal((5, 3))) + 0.1)
+    M = np.abs(rng.standard_normal((5, 3))) + 0.1
+    M /= np.linalg.norm(M, axis=1)[:, None]  # positive unit rows
     M[3] = M[1]  # plant one identical pair
     perm = rng.permutation(5)
     P = np.eye(5)[perm]
@@ -309,15 +309,3 @@ def test_decay_constant_degenerate_warns_zero():
         warnings.simplefilter("always")
         assert decay_constant(M) == 0.0
     assert any("identical" in str(w.message) for w in rec)
-
-
-def test_normalize_rows_positive():
-    M = np.array([[0.6, 0.8], [0.8, 0.6]])
-    assert np.allclose(normalize_rows_positive(M), M, atol=1e-12)
-    assert np.allclose(normalize_rows_positive(np.array([[3.0, 4.0]])),
-                       [[0.6, 0.8]])
-    out = normalize_rows_positive(np.array([[-1.0, 2.0], [0.5, 1.0]]),
-                                  eps=0.01)
-    shifted = np.array([[-1.0, 2.0], [0.5, 1.0]]) + 1.01
-    assert out.min() == pytest.approx((0.01) / np.linalg.norm(shifted[0]))
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0)

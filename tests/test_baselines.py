@@ -226,10 +226,9 @@ def test_fixed_laplacians_validation():
 
 def test_fixed_from_state_snapshots_current_laplacians():
     state = fresh_state(4, 5, seed=7)
-    fx = FixedLaplacians.from_state(state, source="frozen_at_iter_0")
+    fx = FixedLaplacians.from_state(state)
     assert np.array_equal(fx.L_r, build_laplacian(state.reg_row).L)
     assert np.array_equal(fx.L_c, build_laplacian(state.reg_col).L)
-    assert fx.source == "frozen_at_iter_0"
 
 
 def test_fixed_zero_laplacian_reduces_to_vanilla():

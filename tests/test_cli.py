@@ -1,10 +1,15 @@
-"""End-to-end command line coverage, all through in-process main()."""
+"""End-to-end command line coverage, through in-process main() and, for
+runs pinned to one BLAS thread, through a fresh interpreter."""
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import aircomplete
 from aircomplete import cli
 from aircomplete.air_reg import RegParam
 from aircomplete.baselines import FixedLaplacians
@@ -124,6 +129,25 @@ def test_complete_runs_are_byte_identical(small_problem, tmp_path):
         dirs.append(d)
     for fname in ("trace.csv", "recovered.csv", "report.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+def test_one_thread_runs_write_identical_traces(small_problem, tmp_path):
+    # each run in its own interpreter, so OPENBLAS_NUM_THREADS takes effect
+    truth, mask = small_problem
+    src = os.path.dirname(os.path.dirname(aircomplete.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    traces = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        argv = [str(a) for a in complete_args(truth, mask, out,
+                                              "--track-sigmas", 2)]
+        subprocess.run([sys.executable, "-m", "aircomplete.cli", *argv],
+                       env=env, check=True, capture_output=True, timeout=300)
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    assert len(traces[0].splitlines()) > 2  # header and checkpoint rows
 
 
 def test_eval_reproduces_report_metrics(small_problem, tmp_path, capsys):
@@ -461,6 +485,27 @@ def test_overflow_right_after_checkpoint_exits_two(tmp_path, capsys):
     assert "at iteration 12" in err and "partial trace flushed" in err
     lines = (out / "trace.csv").read_text().splitlines()
     assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(11)]
+
+
+def test_overflow_exits_two_with_warnings_as_errors(tmp_path, capsys):
+    # the run above without an errstate of its own: no numpy warning may
+    # escape the training loop ahead of its clean failure
+    truth, mask, out = tmp_path / "t.csv", tmp_path / "m.pgm", tmp_path / "o"
+    out.mkdir()
+    assert run("gen-data", "--kind", "lowrank", "--rows", 6, "--cols", 6,
+               "--rank", 2, "--seed", 7, "--out", truth) == 0
+    assert run("gen-mask", "--kind", "random", "--rows", 6, "--cols", 6,
+               "--missing", 0.3, "--seed", 3, "--out", mask) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(*complete_args(truth, mask, out, "--optimizer", "gd",
+                                  "--lr", 10, "--log-every", 1,
+                                  "--max-iters", 50))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("partial trace flushed\nnumeric failure: ")
+    assert err.endswith(" at iteration 12\n")
+    assert err.count("\n") == 2
 
 
 # ---------------------------------------------------------------------------

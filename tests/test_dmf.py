@@ -249,16 +249,6 @@ def test_initialize_shapes_and_default_width():
     assert forward(chain).shape == (7, 5)
 
 
-def test_balanced_identity_exact_balance():
-    chain = initialize(4, 4, 3, scheme="balanced_identity", rng=make_rng(0),
-                       alpha=0.1)
-    for W in chain.factors:
-        assert np.array_equal(W, 0.1 * np.eye(4))
-    assert all(r == 0.0 for r in balance_residuals(chain))
-    with pytest.raises(InvalidInput):
-        initialize(4, 5, 3, scheme="balanced_identity", rng=make_rng(0))
-
-
 def test_balanced_spectral_balance_and_product():
     rng = make_rng(3)
     seed_matrix = rng.standard_normal((5, 4))

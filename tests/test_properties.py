@@ -1,6 +1,7 @@
 """Property tests of the graph energy and its W-gradient over random shapes,
-both parameterizations, and inputs with duplicated rows, and of the
-adjacency under a constant shift of W."""
+both parameterizations, and inputs with duplicated rows, of the adjacency
+under a constant shift of W, and of the PGM reader and the config loader
+on generated input."""
 import numpy as np
 import pytest
 
@@ -9,7 +10,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from aircomplete.air_reg import (_LOG_MAX, RegParam, _adjacency,  # noqa: E402
                                  reg_value_and_grad)
-from aircomplete.errors import NumericOverflow  # noqa: E402
+from aircomplete.cli import default_config, load_config  # noqa: E402
+from aircomplete.data_lab import read_pgm, write_pgm  # noqa: E402
+from aircomplete.errors import (InvalidInput, NumericOverflow,  # noqa: E402
+                                ParseError)
 from aircomplete.mat_core import make_rng  # noqa: E402
 from test_air_reg import fd_energy_grad, pairwise_energy  # noqa: E402
 
@@ -86,3 +90,92 @@ def test_constant_shift_of_w(inputs, c):
     normal = log_a > np.log(np.finfo(float).tiny)
     assert np.allclose(np.log(A1[normal]), log_a[normal],
                        rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# PGM files and config keys: input from outside the program
+
+
+@st.composite
+def pgm_images(draw):
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    pix = draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+    return np.array(pix, dtype=np.float64).reshape(h, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pgm_images())
+def test_pgm_round_trips_8bit_matrices(tmp_path_factory, X):
+    path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+    write_pgm(X, path)
+    gt = read_pgm(path)
+    assert np.array_equal(gt.full, X)
+    assert gt.value_range == (0.0, 255.0)
+
+
+@st.composite
+def garbled_pgm_files(draw):
+    """A valid P2 or P5 file whose header is cut short, or has bytes
+    overwritten or inserted (possibly whitespace, digits or '#')."""
+    X = draw(pgm_images())
+    h, w = X.shape
+    header = draw(st.sampled_from([f"P5\n{w} {h}\n255\n",
+                                   f"P2\n# c\n{w} {h}\n255\n"])).encode()
+    if header.startswith(b"P5"):
+        payload = X.astype(np.uint8).tobytes()
+    else:
+        payload = " ".join(str(int(v)) for v in X.ravel()).encode()
+    data = bytearray(header)
+    edit = draw(st.sampled_from(["cut", "overwrite", "insert"]))
+    at = draw(st.integers(0, len(header) - 1))
+    junk = draw(st.binary(min_size=1, max_size=4)
+                | st.sampled_from([b" ", b"\n", b"#", b"0", b"-1", b"99999"]))
+    if edit == "cut":
+        return bytes(data[:at])
+    if edit == "overwrite":
+        data[at:at + len(junk)] = junk
+    else:
+        data[at:at] = junk
+    return bytes(data) + payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(garbled_pgm_files())
+def test_garbled_pgm_header_raises_only_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pgm") / "bad.pgm"
+    path.write_bytes(data)
+    try:
+        gt = read_pgm(path)
+    except ParseError:
+        return
+    # an edit can leave a valid file (e.g. a space turned into a newline)
+    assert gt.full.ndim == 2 and gt.value_range[0] == 0.0
+
+
+@st.composite
+def unknown_key_configs(draw):
+    """(overrides, dotted path): one key unknown to default_config(),
+    at the top level or inside a section, holding a scalar or an object."""
+    tree, path = default_config(), []
+    while True:
+        sections = [k for k, v in tree.items() if isinstance(v, dict)]
+        if not sections or draw(st.booleans()):
+            break
+        key = draw(st.sampled_from(sections))
+        tree, path = tree[key], path + [key]
+    bad = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in tree))
+    node = draw(st.integers() | st.dictionaries(st.text(max_size=3),
+                                                st.integers(), max_size=2))
+    for key in reversed(path + [bad]):
+        node = {key: node}
+    return node, ".".join(path + [bad])
+
+
+@settings(max_examples=60, deadline=None)
+@given(unknown_key_configs())
+def test_unknown_config_key_is_rejected_by_its_dotted_path(case):
+    overrides, dotted = case
+    with pytest.raises(InvalidInput) as exc:
+        load_config(None, overrides)
+    assert str(exc.value) == f"unknown config key {dotted!r}"

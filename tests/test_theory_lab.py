@@ -182,6 +182,6 @@ def test_balance_preserved_from_balanced_start():
 
 
 def test_balance_report_rows_cover_all_checkpoints():
-    rep = verify_balance(steps=100, check_every=10, rng=make_rng(3))
+    rep = verify_balance(steps=100, rng=make_rng(3))
     assert len(rep.rows) == 11
     assert rep.rows[0][0] == 0.0
