@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import warnings
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -323,11 +324,19 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
         path = reg["fixed_path"]
         if path is None:
             raise InvalidInput("regularizer.mode fixed requires fixed_path")
-        with np.load(path) as z:
-            for key in ("L_r", "L_c"):
-                if key not in z:
-                    raise InvalidInput(f"{path} has no array {key!r}")
-            penalty = FixedLaplacians(z["L_r"], z["L_c"])
+        try:
+            z = np.load(path)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("it holds one bare array")
+            with z:
+                laps = {key: z[key] for key in ("L_r", "L_c") if key in z}
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise InvalidInput(f"{path} is not a readable .npz archive "
+                               f"({e})") from None
+        for key in ("L_r", "L_c"):
+            if key not in laps:
+                raise InvalidInput(f"{path} has no array {key!r}")
+        penalty = FixedLaplacians(laps["L_r"], laps["L_c"])
     # preconditions all hold past this point, safe to touch the filesystem
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -471,11 +480,7 @@ def run_verify(kind: str, args) -> int:
                   f"{v['max_rel_err_statement']:.3e}, proof "
                   f"{v['max_rel_err_proof']:.3e})")
             reports.append(rep)
-        if args.report_csv:
-            reports[0].write_csv(args.report_csv)
-        return 0 if all(r.passed for r in reports) else 3
-
-    if kind == "thm2":
+    elif kind == "thm2":
         M = _EXAMPLE_ROWS if args.matrix is None else read_matrix_csv(args.matrix)
         rep = theory_lab.verify_theorem2(M, eps_init=args.eps_init, **flow)
         v = rep.verdict
@@ -492,23 +497,21 @@ def run_verify(kind: str, args) -> int:
         print(f"thm2 decay bound: {'PASS' if v['bound_ok'] else 'FAIL'}"
               + ("" if v["bound_ok"] else
                  f" (first violation at t={v['bound_first_fail_t']:.1f})"))
-        if args.report_csv:
-            rep.write_csv(args.report_csv)
         print(f"thm2: {'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 3
-
-    if kind == "balance":
+        reports = [rep]
+    elif kind == "balance":
         rep = theory_lab.verify_balance(m=args.rows, n=args.cols,
                                         L=args.depth, rng=make_rng(args.seed),
                                         **flow)
         v = rep.verdict
         print(f"balance: {'PASS' if rep.passed else 'FAIL'} "
               f"(max relative residual {v['max_relative_residual']:.3e})")
-        if args.report_csv:
-            rep.write_csv(args.report_csv)
-        return 0 if rep.passed else 3
-
-    raise InvalidInput(f"unknown verify kind {kind!r}")
+        reports = [rep]
+    else:
+        raise InvalidInput(f"unknown verify kind {kind!r}")
+    if args.report_csv:
+        reports[0].write_csv(args.report_csv)
+    return 0 if all(r.passed for r in reports) else 3
 
 
 # ---------------------------------------------------------------------------

@@ -292,5 +292,6 @@ def write_mask_pgm(mask: SamplingMask, path) -> None:
 
 
 def read_mask_pgm(path) -> SamplingMask:
+    """Observed where a pixel exceeds half the file's maxval."""
     gt = read_pgm(path)
-    return SamplingMask(gt.full > 127)
+    return SamplingMask(gt.full > gt.value_range[1] / 2)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_lab import SamplingMask
+from .data_lab import SamplingMask, apply_mask, lift
 from .errors import InvalidInput
 from .mat_core import gaussian_matrix, svd
 
@@ -87,12 +87,7 @@ def residual_matrix(chain: FactorChain, mask: SamplingMask, y_obs) -> np.ndarray
     if y_obs.shape != (mask.n_observed,):
         raise InvalidInput(f"expected {mask.n_observed} observed values, "
                            f"got shape {y_obs.shape}")
-    X = forward(chain)
-    if X.shape != mask.observed.shape:
-        raise InvalidInput(f"chain product {X.shape} vs mask {mask.observed.shape}")
-    G = np.zeros_like(X)
-    G[mask.observed] = X[mask.observed] - y_obs
-    return G
+    return lift(apply_mask(forward(chain), mask) - y_obs, mask)
 
 
 def fidelity_loss(chain: FactorChain, mask: SamplingMask, y_obs) -> float:

@@ -1,7 +1,8 @@
 """Numerical verification of the dynamics results.
 
 Three flows, each discretized by plain gradient descent at a small step
-and compared against the corresponding closed-form prediction:
+(the first and last through the trainer's penalty strategies) and
+compared against the corresponding closed-form prediction:
 
 singular-value dynamics (verify_theorem1)
     Under balanced initialization, each singular value of the product
@@ -34,14 +35,15 @@ import numpy as np
 
 from . import air_reg
 from .air_reg import (RegParam, _sq_distances, _sum_value_grad_from_K,
-                      build_laplacian, decay_constant, grad_wrt_X,
-                      identical_row_pairs, limit_laplacian, reg_value_and_grad)
+                      build_laplacian, decay_constant, identical_row_pairs,
+                      limit_laplacian)
 from .dmf import balance_residuals, factor_grads_from_full, forward, initialize
 from .errors import DivergenceError, InvalidInput
 from .mat_core import as_matrix, gaussian_matrix
+from .trainer import _AdaptiveReg, _NoReg
 
-__all__ = ["FlowReport", "SigmaDynamicsRecord",
-           "verify_theorem1", "verify_theorem2", "verify_balance"]
+__all__ = ["FlowReport", "verify_theorem1", "verify_theorem2",
+           "verify_balance"]
 
 
 @dataclass
@@ -52,7 +54,6 @@ class FlowReport:
     columns: tuple
     rows: list = field(default_factory=list)
     verdict: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -82,16 +83,26 @@ class FlowReport:
             f.write(self.to_csv())
 
 
-@dataclass(frozen=True)
-class SigmaDynamicsRecord:
-    """One singular value's measured motion vs the matching prediction."""
-
-    k: int
-    sigma: float
-    sigma_dot_measured: float
-    term_fidelity: float
-    term_regularizer: float
-    gamma_k: float
+def _descend(chain, strategy, Y, lr, steps):
+    """The trainer's gradient step with every entry observed: descent at
+    lr on 1/2 ||X - Y||^2 plus the strategy's penalty, updating the factors
+    and strategy.w_params in place. Yields (it, X) for it = 0..steps, X the
+    product after `it` updates; a caller checks X before it resumes."""
+    params = list(chain.factors) + list(strategy.w_params)
+    for it in range(steps + 1):
+        partials = []
+        X = forward(chain, partials)
+        yield it, X
+        if it == steps:
+            return
+        _, _, Gx, w_grads = strategy.compute(X)
+        G = X - Y
+        if Gx is not None:
+            G += Gx
+        grads = factor_grads_from_full(chain, G, partials)
+        grads.extend(w_grads)
+        for p, g in zip(params, grads):
+            p -= lr * g
 
 
 def _match_columns(prev_U, U, top_k):
@@ -134,15 +145,16 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
     reg_on = lam_r > 0 or lam_c > 0
     reg_row = RegParam(gaussian_matrix(rng, m, m, variance=1e-5))
     reg_col = RegParam(gaussian_matrix(rng, n, n, variance=1e-5))
+    strategy = (_AdaptiveReg(reg_row, reg_col, lam_r, lam_c) if reg_on
+                else _NoReg())
 
     sig_hist = []     # per checkpoint: aligned top_k sigmas
-    pred_hist = []    # per checkpoint: (fid, reg_stmt, reg_proof, gam_stmt, gam_proof) arrays
+    pred_hist = []    # per checkpoint: (fid, reg_stmt, reg_proof) arrays
     skipped = []
     prev_U = None
 
-    def checkpoint():
+    def checkpoint(X):
         nonlocal prev_U
-        X = forward(chain)
         U, S, Vt = np.linalg.svd(X, full_matrices=False)
         idx, signs = _match_columns(prev_U, U, top_k)
         gaps_ok = True
@@ -160,8 +172,6 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
         fid = np.empty(top_k)
         reg_s = np.zeros(top_k)
         reg_p = np.zeros(top_k)
-        gam_s = np.zeros(top_k)
-        gam_p = np.zeros(top_k)
         for k in range(top_k):
             j = idx[k]
             u = signs[k] * U[:, j]
@@ -169,37 +179,20 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
             s2 = sig[k] ** 2
             fid[k] = -L * s2 ** (1 - 1 / L) * float(u @ Gy @ v)
             if reg_on:
-                gam_s[k] = float(u @ Lr @ u + v @ Lc @ v)
-                gam_p[k] = float(lam_r * (u @ Lr @ u) + lam_c * (v @ Lc @ v))
                 pre = -2 * L * s2 ** (1.5 - 1 / L)
-                reg_s[k] = pre * gam_s[k]
-                reg_p[k] = pre * gam_p[k]
+                reg_s[k] = pre * float(u @ Lr @ u + v @ Lc @ v)
+                reg_p[k] = pre * float(lam_r * (u @ Lr @ u)
+                                       + lam_c * (v @ Lc @ v))
         sig_hist.append(sig)
-        pred_hist.append((fid, reg_s, reg_p, gam_s, gam_p))
+        pred_hist.append((fid, reg_s, reg_p))
         return gaps_ok
 
-    if not checkpoint():
-        skipped.append(0)
-    for it in range(1, steps + 1):
-        partials = []
-        X = forward(chain, partials)
-        Gx = X - Y
-        if reg_on:
-            # one exponential per graph gives dR/dW and the Laplacian
-            _, gWr, Lr = reg_value_and_grad(reg_row, X, laplacian=True)
-            _, gWc, Lc = reg_value_and_grad(reg_col, X.T, laplacian=True)
-            Gx = Gx + grad_wrt_X(Lr, Lc, X, lam_r, lam_c)
-        grads = factor_grads_from_full(chain, Gx, partials)
-        for W, g in zip(chain.factors, grads):
-            W -= lr * g
-        if reg_on:
-            reg_row.W -= lr * lam_r * gWr
-            reg_col.W -= lr * lam_c * gWc
-        if not np.isfinite(forward(chain)).all():
+    for it, X in _descend(chain, strategy, Y, lr, steps):
+        # every pass: the penalty's kernels reject a non-finite X
+        if not np.isfinite(X).all():
             raise DivergenceError(it, "factor chain")
-        if it % check_every == 0:
-            if not checkpoint():
-                skipped.append(it // check_every)
+        if it % check_every == 0 and not checkpoint(X):
+            skipped.append(it // check_every)
 
     report = FlowReport(
         kind="theorem1",
@@ -215,7 +208,7 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
         if {c - 1, c, c + 1} & skip_set:
             continue
         sd = (sig_hist[c + 1] - sig_hist[c - 1]) / (2 * dt)
-        fid, reg_s, reg_p, gam_s, gam_p = pred_hist[c]
+        fid, reg_s, reg_p = pred_hist[c]
         in_window = lo <= c <= hi
         for k in range(top_k):
             if sd[k] == 0.0:
@@ -229,9 +222,6 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
             if in_window:
                 err_s_max = max(err_s_max, es)
                 err_p_max = max(err_p_max, ep)
-                report.records.append(SigmaDynamicsRecord(
-                    k, float(sig_hist[c][k]), float(sd[k]), float(fid[k]),
-                    float(reg_p[k]), float(gam_p[k])))
     if not reg_on:
         selected = "fidelity_only"
         err_sel = err_p_max
@@ -376,15 +366,10 @@ def verify_balance(m: int = 5, n: int = 4, L: int = 3, lr: float = 1e-4,
         report.add_row((it * lr if it else 0.0, *res, rel))
         return rel
 
-    max_rel = inspect(0)
-    for it in range(1, steps + 1):
-        partials = []
-        X = forward(chain, partials)
-        grads = factor_grads_from_full(chain, X - Y, partials)
-        for W, g in zip(chain.factors, grads):
-            W -= lr * g
+    max_rel = 0.0
+    for it, X in _descend(chain, _NoReg(), Y, lr, steps):
         if it % check_every == 0:
-            if not np.isfinite(forward(chain)).all():
+            if not np.isfinite(X).all():
                 raise DivergenceError(it, "factor chain")
             max_rel = max(max_rel, inspect(it))
 

@@ -169,6 +169,28 @@ def test_eval_reproduces_report_metrics(small_problem, tmp_path, capsys):
     assert absolute["nmae"] != scored["nmae"]
 
 
+@pytest.mark.parametrize("magic", ["P2", "P5"])
+def test_mask_with_maxval_one_reads_and_evaluates(tmp_path, capsys, magic):
+    # observed where a pixel exceeds half the maxval, whatever the maxval
+    observed = np.array([[1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1]])
+    mask = tmp_path / "mask.pgm"
+    header = f"{magic}\n4 3\n1\n".encode()
+    if magic == "P2":
+        body = "\n".join(" ".join(map(str, r)) for r in observed).encode()
+    else:
+        body = observed.astype(np.uint8).tobytes()
+    mask.write_bytes(header + body)
+    assert read_mask_pgm(mask).n_observed == 9
+    truth = tmp_path / "truth.csv"
+    rec = tmp_path / "rec.csv"
+    np.savetxt(truth, np.arange(12.0).reshape(3, 4), delimiter=",")
+    np.savetxt(rec, np.arange(12.0).reshape(3, 4) + 0.5, delimiter=",")
+    assert run("eval", "--recovered", rec, "--truth", truth,
+               "--mask", mask) == 0
+    scored = json.loads(capsys.readouterr().out)
+    assert scored["mse_obs"] == pytest.approx(0.25)
+
+
 def test_complete_flag_overrides_config_file(small_problem, tmp_path):
     truth, mask = small_problem
     cfg = tmp_path / "cfg.json"
@@ -398,6 +420,47 @@ def test_fixed_path_without_a_laplacian_exits_one(small_problem, tmp_path,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and str(lap) in err and "'L_c'" in err
+    assert not out.exists()
+
+
+def _truncated_npz(path):
+    np.savez(path, L_r=np.zeros((12, 12)))
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _damaged_npz(path):
+    # one byte of L_r's payload flipped: the archive opens, the member's
+    # checksum fails when it is read
+    np.savez(path, L_r=np.ones((12, 12)), L_c=np.zeros((10, 10)))
+    raw = bytearray(path.read_bytes())
+    raw[300] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+UNREADABLE_LAPLACIANS = {
+    "laps.txt": lambda p: p.write_text("L_r,L_c\n"),
+    "laps.npy": lambda p: np.save(p, np.zeros((12, 12))),
+    "laps.empty": lambda p: p.write_bytes(b""),
+    "truncated.npz": _truncated_npz,
+    "objects.npz": lambda p: np.savez(p, L_r=np.full((12, 12), None),
+                                      L_c=np.zeros((10, 10))),
+    "bad_crc.npz": _damaged_npz,
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_LAPLACIANS)
+def test_fixed_path_that_is_not_a_readable_npz_exits_one(
+        small_problem, tmp_path, capsys, name):
+    truth, mask = small_problem
+    lap = tmp_path / name
+    UNREADABLE_LAPLACIANS[name](lap)
+    out = tmp_path / "run"
+    code = run(*complete_args(truth, mask, out, "--reg", "fixed",
+                              "--fixed-path", lap))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(lap) in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

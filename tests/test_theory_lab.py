@@ -2,11 +2,15 @@
 import numpy as np
 import pytest
 
+from aircomplete.air_reg import RegParam
+from aircomplete.data_lab import SamplingMask, apply_mask
 from aircomplete.dmf import forward, initialize
 from aircomplete.errors import InvalidInput
-from aircomplete.mat_core import make_rng
-from aircomplete.theory_lab import (FlowReport, verify_balance,
+from aircomplete.mat_core import gaussian_matrix, make_rng
+from aircomplete.theory_lab import (FlowReport, _descend, verify_balance,
                                     verify_theorem1, verify_theorem2)
+from aircomplete.trainer import (ModelState, TrainConfig, _AdaptiveReg,
+                                 _NoReg, train)
 
 THREE_ROWS = np.array([[0.6, 0.8], [0.6, 0.8], [0.8, 0.6]])
 
@@ -84,14 +88,18 @@ def test_theorem1_prediction_holds_across_depths(depth):
 
 def test_theorem1_regularizer_only_shrinks_singular_values():
     # aim the fidelity at the initial product so only the penalty acts;
-    # every measured rate and every predicted penalty term must be <= 0
+    # over checkpoints 10 to 100 every measured rate and every prediction
+    # must be negative
     rng = make_rng(42)
     chain = initialize(8, 8, 3, scheme="balanced_spectral", rng=rng)
     rep = verify_theorem1(rng=make_rng(42), target=forward(chain))
-    assert rep.records
-    assert all(r.sigma_dot_measured < 0 for r in rep.records)
-    assert all(r.term_regularizer < 0 for r in rep.records)
-    assert all(r.gamma_k > 0 for r in rep.records)
+    rows = np.array(rep.rows)
+    # columns: t, k, sigma, sigma_dot, pred_statement, pred_proof, errs
+    ckpt = np.rint(rows[:, 0] / (10 * 1e-5))
+    window = rows[(ckpt >= 10) & (ckpt <= 100)]
+    assert len(window) == 3 * 91
+    assert (window[:, 3] < 0).all()
+    assert (window[:, 5] < 0).all()
 
 
 def test_theorem1_report_rows_are_consistent():
@@ -102,6 +110,35 @@ def test_theorem1_report_rows_are_consistent():
     assert (rows[:, 2] > 0).all()
     recomputed = np.abs(rows[:, 5] - rows[:, 3]) / np.abs(rows[:, 3])
     assert np.allclose(recomputed, rows[:, 7])
+
+
+@pytest.mark.parametrize("lam_r, lam_c", [(0.3, 0.7), (0.0, 0.0),
+                                          (0.0, 0.5)])
+def test_lab_flow_takes_the_trainers_gradient_step(lam_r, lam_c):
+    def model():
+        rng = make_rng(31)
+        return ModelState(
+            initialize(6, 5, 3, scheme="gaussian", rng=rng, variance=1e-2),
+            RegParam(gaussian_matrix(rng, 6, 6, variance=1e-5)),
+            RegParam(gaussian_matrix(rng, 5, 5, variance=1e-5)))
+
+    lab, trained = model(), model()
+    Y = make_rng(32).standard_normal((6, 5))
+    strategy = (_AdaptiveReg(lab.reg_row, lab.reg_col, lam_r, lam_c)
+                if lam_r or lam_c else _NoReg())
+    for _ in _descend(lab.chain, strategy, Y, 1e-4, 25):
+        pass
+    mask = SamplingMask(np.ones((6, 5), dtype=bool))
+    cfg = TrainConfig(optimizer="gd", lr=1e-4, max_iters=25, log_every=25,
+                      lambda_mode="explicit", lambda_row=lam_r,
+                      lambda_col=lam_c)
+    train(trained, mask, apply_mask(Y, mask), cfg)
+    for a, b in zip(lab.chain.factors + [lab.reg_row.W, lab.reg_col.W],
+                    trained.chain.factors + [trained.reg_row.W,
+                                             trained.reg_col.W]):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(lab.chain.factors[0],
+                              model().chain.factors[0])
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,33 @@ def test_overflow_after_checkpoint_is_divergence():
         assert exc.value.trace.iters == list(range(0, 3, log_every))
 
 
+@pytest.mark.parametrize("target, what", [
+    (lambda s: s.reg_row.W, "graph parameter"),
+    (lambda s: s.chain.factors[0], "factor 0"),
+])
+def test_parameter_scan_names_a_nan_written_by_the_update(monkeypatch,
+                                                          target, what):
+    # without the scan a NaN in W_r surfaces at the next pass as an
+    # InvalidInput from the graph kernels, a bad-input error, not divergence
+    state = small_state(seed=22, variance=1e-2)
+    rng = make_rng(23)
+    mask = generate_mask(rng, 6, 5, "random", p=0.3)
+    y = rng.standard_normal(mask.n_observed)
+    real = trainer_mod.GradientDescent.step
+
+    def poisoned(self, grads):
+        real(self, grads)
+        target(state)[0, 0] = np.nan
+
+    monkeypatch.setattr(trainer_mod.GradientDescent, "step", poisoned)
+    cfg = TrainConfig(optimizer="gd", lr=1e-3, max_iters=10, log_every=1,
+                      lambda_mode="explicit", lambda_row=0.3, lambda_col=0.7)
+    with pytest.raises(DivergenceError, match=what) as exc:
+        train(state, mask, y, cfg)
+    assert exc.value.iteration == 1
+    assert exc.value.trace.iters == [0]
+
+
 def test_checkpoints_reuse_the_step_forward(monkeypatch):
     calls = []
     real = trainer_mod.forward
