@@ -253,7 +253,7 @@ def _build_state(cfg: dict, m: int, n: int, rng) -> ModelState:
     par = reg["parameterization"]
     reg_row = RegParam(gaussian_matrix(rng, m, m, variance=1e-5), par)
     reg_col = RegParam(gaussian_matrix(rng, n, n, variance=1e-5), par)
-    return ModelState(chain, reg_row, reg_col, adaptive=reg["mode"] == "air")
+    return ModelState(chain, reg_row, reg_col)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -277,13 +277,16 @@ def _train_config(cfg: dict) -> TrainConfig:
         track_singular_values=cfg["track_singular_values"])
 
 
+def _recovered_path(cfg: dict, is_image: bool) -> str:
+    path = cfg["outputs"]["recovered_path"]
+    default = "recovered.pgm" if is_image else "recovered.csv"
+    return default if path is None else path
+
+
 def _write_outputs(cfg: dict, out_dir, X, trace, mask, truth, is_image):
     outs = cfg["outputs"]
     trace_path = _resolve(out_dir, outs["trace_csv"])
-    rec_path = outs["recovered_path"]
-    if rec_path is None:
-        rec_path = "recovered.pgm" if is_image else "recovered.csv"
-    rec_path = _resolve(out_dir, rec_path)
+    rec_path = _resolve(out_dir, _recovered_path(cfg, is_image))
     report_path = _resolve(out_dir, outs["report_path"])
 
     mse_obs, mse_unobs, nmae = trainer.metrics(X, truth, mask)
@@ -325,14 +328,16 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
         if path is None:
             raise InvalidInput("regularizer.mode fixed requires fixed_path")
         try:
-            z = np.load(path)
-            if not isinstance(z, np.lib.npyio.NpzFile):
-                raise ValueError("it holds one bare array")
-            with z:
-                laps = {key: z[key] for key in ("L_r", "L_c") if key in z}
-        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            with open(path, "rb") as f:
+                if not zipfile.is_zipfile(f):
+                    raise ValueError("not a zip archive")
+                with np.load(f) as z:
+                    laps = {key: z[key] for key in ("L_r", "L_c") if key in z}
+        except (ValueError, zipfile.BadZipFile) as e:
+            # numpy's refusal of an object array names its pickle option
+            why = "it holds an object array" if "allow_pickle" in str(e) else e
             raise InvalidInput(f"{path} is not a readable .npz archive "
-                               f"({e})") from None
+                               f"({why})") from None
         for key in ("L_r", "L_c"):
             if key not in laps:
                 raise InvalidInput(f"{path} has no array {key!r}")
@@ -347,18 +352,28 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
 
 
 def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
-    """One run per axis value (model depth or width), shared seed."""
+    """One run per distinct axis value (model depth or width), shared seed."""
     if axis not in ("depth", "width"):
         raise InvalidInput(f"sweep axis must be depth or width, got {axis!r}")
     if not values:
         raise InvalidInput("sweep values must be nonempty")
+    if len(set(values)) != len(values):
+        raise InvalidInput(f"sweep values must be distinct, got {values}")
     _validate_config(cfg)
+    try:
+        workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
+    except ValueError:
+        raise InvalidInput(f"AIR_THREADS must be an integer, got "
+                           f"{os.environ['AIR_THREADS']!r}") from None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     def one(v):
         sub = copy.deepcopy(cfg)
         sub["model"][axis] = v
+        # each arm writes its own files, the default recovered one included
+        sub["outputs"]["recovered_path"] = _recovered_path(
+            sub, _is_pgm(sub["data"]["path"]))
         for key in ("trace_csv", "recovered_path", "report_path"):
             p = sub["outputs"][key]
             if p:
@@ -373,7 +388,6 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
             # exception is a bug and propagates
             return (v, None, f"{type(e).__name__}: {e}")
 
-    workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, values))

@@ -105,6 +105,12 @@ def _descend(chain, strategy, Y, lr, steps):
             p -= lr * g
 
 
+def _check_flow(lr, steps):
+    if not lr > 0 or steps < 1:
+        raise InvalidInput(f"a flow needs lr > 0 and at least 1 step, "
+                           f"got lr={lr}, steps={steps}")
+
+
 def _match_columns(prev_U, U, top_k):
     """Greedy alignment of the current SVD columns to the previous
     checkpoint's, by largest |inner product|; returns (indices, signs)."""
@@ -133,8 +139,9 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
     come within 1e-9 are skipped (vectors ill-defined).
     """
     check_every, top_k, window = 10, 3, (10, 100)
-    if lr > 1e-4:
-        raise InvalidInput(f"flow discretization needs lr <= 1e-4, got {lr}")
+    if not 0 < lr <= 1e-4:
+        raise InvalidInput(f"flow discretization needs 0 < lr <= 1e-4, "
+                           f"got {lr}")
     if rng is None:
         raise InvalidInput("an explicit rng is required for reproducibility")
     if steps < (window[1] + 1) * check_every:
@@ -253,6 +260,7 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
     rate fit uses the early ones (down to e^-3 of the initial value); the
     bound is tested at every checkpoint.
     """
+    _check_flow(lr, steps)
     M = as_matrix(M, "M")
     Lstar, gamma, s = limit_laplacian(M)
     D = decay_constant(M)
@@ -346,6 +354,7 @@ def verify_balance(m: int = 5, n: int = 4, L: int = 3, lr: float = 1e-4,
     """Track the balance residuals of a fidelity-only descent run,
     checked every 10 steps."""
     check_every = 10
+    _check_flow(lr, steps)
     if rng is None:
         raise InvalidInput("an explicit rng is required for reproducibility")
     chain = initialize(m, n, L, scheme="balanced_spectral", rng=rng)

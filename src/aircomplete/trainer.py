@@ -4,13 +4,13 @@ The objective is
 
     total = 1/2 ||y_obs - A(X)||^2 + lam_r tr(X^T L_r X) + lam_c tr(X L_c X^T)
 
-with X the factor-chain product and L_r, L_c either learned (adaptive) or
-frozen; `train`'s penalty argument can instead put lam_r times smoothed
-total variation of X in place of both graph terms. All trainable
-parameters, factors plus the two adjacency parameters when adaptive, are
-updated jointly by one optimizer instance; per-array optimizer state
-keeps factor updates independent of whether the regularizer parameters
-ride along.
+with X the factor-chain product and L_r, L_c either learned or frozen;
+`train`'s penalty argument can instead put lam_r times smoothed total
+variation of X in place of both graph terms. All trainable parameters,
+factors plus the two adjacency parameters when learned, are updated
+jointly by one optimizer instance; per-array optimizer state keeps
+factor updates independent of whether the regularizer parameters ride
+along.
 
 Stopping: the adjacency values settle before observation error does, so
 training stops when the lambda-scaled regularizer values move less than
@@ -91,7 +91,6 @@ class ModelState:
     chain: FactorChain
     reg_row: RegParam
     reg_col: RegParam
-    adaptive: bool = True
 
     def __post_init__(self):
         m, n = self.chain.shape
@@ -146,13 +145,9 @@ class MetricTrace:
     def __len__(self):
         return len(self.iters)
 
-    def header(self) -> str:
-        cols = self._BASE_COLUMNS + [f"sigma_{j + 1}"
-                                     for j in range(self.n_sigma)]
-        return ",".join(cols)
-
     def to_csv(self) -> str:
-        lines = [self.header()]
+        lines = [",".join(self._BASE_COLUMNS + [f"sigma_{j + 1}"
+                                                for j in range(self.n_sigma)])]
         for i in range(len(self.iters)):
             vals = [self.total[i], self.fid[i], self.reg_r[i], self.reg_c[i],
                     self.mse_obs[i], self.mse_unobs[i], self.nmae[i],
@@ -165,31 +160,6 @@ class MetricTrace:
         with open(path, "w", newline="") as f:
             f.write(self.to_csv())
 
-    @classmethod
-    def from_csv(cls, text: str) -> "MetricTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise InvalidInput("empty trace CSV")
-        cols = lines[0].split(",")
-        n_base = len(cls._BASE_COLUMNS)
-        if cols[:n_base] != cls._BASE_COLUMNS:
-            raise InvalidInput(f"unexpected trace header {lines[0]!r}")
-        tr = cls(n_sigma=len(cols) - n_base)
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != len(cols):
-                raise InvalidInput(f"trace row has {len(parts)} fields, "
-                                   f"header has {len(cols)}")
-            vals = [float(x) for x in parts[1:]]
-            tr.append(int(parts[0]), *vals[:5],
-                      mse_unobs=vals[5], nmae=vals[6], sigma=vals[7:])
-        return tr
-
-    @staticmethod
-    def read_csv(path) -> "MetricTrace":
-        with open(path) as f:
-            return MetricTrace.from_csv(f.read())
-
 
 def auto_lambda(y_obs, m: int, n: int) -> tuple[float, float]:
     """Weight putting fidelity and regularization on a similar scale:
@@ -199,12 +169,6 @@ def auto_lambda(y_obs, m: int, n: int) -> tuple[float, float]:
         raise InvalidInput("auto lambda needs at least one observation")
     lam = float((y.max() - y.min()) / (m * n))
     return lam, lam
-
-
-def resolve_lambda(cfg: TrainConfig, y_obs, m: int, n: int) -> tuple[float, float]:
-    if cfg.lambda_mode == "paper_auto":
-        return auto_lambda(y_obs, m, n)
-    return cfg.lambda_row, cfg.lambda_col
 
 
 def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
@@ -315,12 +279,6 @@ class GradientDescent:
             p -= self.lr * g
 
 
-def _make_optimizer(params, cfg: TrainConfig):
-    if cfg.optimizer == "adam":
-        return Adam(params, cfg)
-    return GradientDescent(params, cfg)
-
-
 # ---------------------------------------------------------------------------
 # regularizer strategies for the shared loop
 
@@ -395,28 +353,55 @@ class _TvReg(_NoReg):
 # a diverging run overflows in many places; the loop checks X, the
 # objective and every parameter itself and raises with the iteration
 @np.errstate(over="ignore", invalid="ignore")
-def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
-                cfg: TrainConfig, lam_r: float, lam_c: float,
-                ground_truth=None):
-    """Shared engine: joint full-gradient updates plus trace and stops.
+def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
+          ground_truth=None, penalty=None):
+    """Fit the model by joint full-gradient updates; returns
+    (state, MetricTrace). state is updated in place.
+
+    penalty selects the graph terms. None learns the graphs;
+    FixedLaplacians freezes them at the given matrices (from_state(state)
+    at the model's current ones); a TvConfig replaces both by smoothed TV
+    of X, weighted by the resolved lambda_row and logged as reg_r (reg_c
+    stays 0). Weights of zero skip the penalty entirely, so such a run
+    reproduces plain deep-factorization training bit for bit.
 
     Pass `it` evaluates the state after `it` updates once: its product,
     residual and energies feed the next update and, at a checkpoint, the
     trace row for `it`. The last state is evaluated for its values only.
     """
+    chain = state.chain
+    m, n = chain.shape
+    if isinstance(penalty, FixedLaplacians) and (
+            penalty.L_r.shape != (m, m) or penalty.L_c.shape != (n, n)):
+        raise InvalidInput(f"Laplacian shapes {penalty.L_r.shape}/"
+                           f"{penalty.L_c.shape} vs model {(m, n)}")
+    if cfg.lambda_mode == "paper_auto":
+        lam_r, lam_c = auto_lambda(y_obs, m, n)
+    else:
+        lam_r, lam_c = cfg.lambda_row, cfg.lambda_col
+    if isinstance(penalty, TvConfig):
+        lam_c = 0.0
+    if lam_r == 0 and lam_c == 0:
+        strategy = _NoReg()
+    elif isinstance(penalty, TvConfig):
+        strategy = _TvReg(penalty, lam_r)
+    elif penalty is None:
+        strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c)
+    else:
+        strategy = _FrozenReg(penalty.L_r, penalty.L_c, lam_r, lam_c)
+
     y = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = mask.n_observed
     if y.size != n_obs:
         raise InvalidInput(f"y_obs has {y.size} entries, mask observes "
                            f"{n_obs}")
-    m, n = chain.shape
     if mask.observed.shape != (m, n):
         raise InvalidInput(f"mask {mask.observed.shape} vs model {(m, n)}")
     delta = cfg.stop_delta if cfg.stop_delta is not None else m * n / 1000.0
     reg_active = lam_r > 0 or lam_c > 0
 
     params = list(chain.factors) + list(strategy.w_params)
-    opt = _make_optimizer(params, cfg)
+    opt = (Adam if cfg.optimizer == "adam" else GradientDescent)(params, cfg)
     n_fac = chain.depth
 
     gt = None
@@ -503,38 +488,4 @@ def _train_loop(chain: FactorChain, strategy, mask: SamplingMask, y_obs,
         del X, partials, diff, G, Gx, grads, w_grads
 
     trace.stop_reason = stop_reason
-    return trace
-
-
-def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
-          ground_truth=None, penalty=None):
-    """Fit the model; returns (state, MetricTrace). state is updated in
-    place.
-
-    penalty selects the graph terms. None learns the graphs when
-    state.adaptive and otherwise freezes them at their current
-    Laplacians; FixedLaplacians freezes them at the given matrices; a
-    TvConfig replaces both by smoothed TV of X, weighted by the resolved
-    lambda_row and logged as reg_r (reg_c stays 0). Weights of zero skip
-    the penalty entirely, so such a run reproduces plain
-    deep-factorization training bit for bit."""
-    m, n = state.chain.shape
-    if isinstance(penalty, FixedLaplacians) and (
-            penalty.L_r.shape != (m, m) or penalty.L_c.shape != (n, n)):
-        raise InvalidInput(f"Laplacian shapes {penalty.L_r.shape}/"
-                           f"{penalty.L_c.shape} vs model {(m, n)}")
-    lam_r, lam_c = resolve_lambda(cfg, y_obs, m, n)
-    if isinstance(penalty, TvConfig):
-        lam_c = 0.0
-    if lam_r == 0 and lam_c == 0:
-        strategy = _NoReg()
-    elif isinstance(penalty, TvConfig):
-        strategy = _TvReg(penalty, lam_r)
-    elif penalty is None and state.adaptive:
-        strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c)
-    else:
-        fixed = penalty or FixedLaplacians.from_state(state)
-        strategy = _FrozenReg(fixed.L_r, fixed.L_c, lam_r, lam_c)
-    trace = _train_loop(state.chain, strategy, mask, y_obs, cfg,
-                        lam_r, lam_c, ground_truth)
     return state, trace

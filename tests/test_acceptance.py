@@ -181,8 +181,7 @@ def test_criterion_07_early_stopped_completion_generalizes(verdict):
                        RegParam(gaussian_matrix(mrng, 100, 100,
                                                 variance=1e-5)),
                        RegParam(gaussian_matrix(mrng, 100, 100,
-                                                variance=1e-5)),
-                       adaptive=False)
+                                                variance=1e-5)))
     cfg = TrainConfig(max_iters=60_000, lambda_mode="explicit",
                       stop_delta=0.0, stop_mse_obs=1e-3, log_every=100)
     _, tr = train(state, mask, y, cfg, gt)
@@ -204,7 +203,7 @@ def structured_missing_run():
     mask = generate_mask(rng, 60, 80, "patch", r0=21, c0=31, h=15, w=15)
     y = apply_mask(gt.full, mask)
 
-    def build(adaptive):
+    def build():
         r = make_rng(123)
         chain = initialize(60, 80, 3, scheme="gaussian", rng=r,
                            variance=1e-5)
@@ -213,16 +212,15 @@ def structured_missing_run():
             RegParam(gaussian_matrix(r, 60, 60, variance=1e-5),
                      parameterization="product_form"),
             RegParam(gaussian_matrix(r, 80, 80, variance=1e-5),
-                     parameterization="product_form"),
-            adaptive=adaptive)
+                     parameterization="product_form"))
 
     cfg_air = TrainConfig(max_iters=30_000, lambda_mode="paper_auto",
                           stop_delta=3e-4, stop_patience=5,
                           stop_warmup=2000, log_every=100)
-    _, tr_air = train(build(True), mask, y, cfg_air, gt)
+    _, tr_air = train(build(), mask, y, cfg_air, gt)
     cfg_dmf = TrainConfig(max_iters=30_000, lambda_mode="explicit",
                           stop_delta=0.0, log_every=100)
-    _, tr_dmf = train(build(False), mask, y, cfg_dmf, gt)
+    _, tr_dmf = train(build(), mask, y, cfg_dmf, gt)
     return tr_air, tr_dmf, time.perf_counter() - t0
 
 
@@ -284,8 +282,7 @@ def test_criterion_10_zero_weight_run_reduces_to_vanilla(verdict):
     chain = initialize(m, n, L, scheme="gaussian", rng=rng, variance=1e-2)
     state = ModelState(chain,
                        RegParam(gaussian_matrix(rng, m, m)),
-                       RegParam(gaussian_matrix(rng, n, n)),
-                       adaptive=True)
+                       RegParam(gaussian_matrix(rng, n, n)))
     mrng = make_rng(77)
     mask = generate_mask(mrng, m, n, "random", p=0.3)
     y = mrng.standard_normal(mask.n_observed)

@@ -200,13 +200,12 @@ def test_tv_gradient_zero_iff_constant():
 # ---------------------------------------------------------------------------
 # frozen-graph training
 
-def fresh_state(m, n, seed, adaptive=False):
+def fresh_state(m, n, seed):
     rng = make_rng(seed)
     chain = initialize(m, n, 3, scheme="gaussian", rng=rng, variance=1e-5)
     return ModelState(chain,
                       RegParam(gaussian_matrix(rng, m, m, variance=1e-5)),
-                      RegParam(gaussian_matrix(rng, n, n, variance=1e-5)),
-                      adaptive=adaptive)
+                      RegParam(gaussian_matrix(rng, n, n, variance=1e-5)))
 
 
 def test_fixed_laplacians_validation():
@@ -258,7 +257,7 @@ def test_fixed_snapshot_at_start_matches_adaptive_first_step():
     cfg = TrainConfig(optimizer="gd", lr=1e-3, max_iters=1,
                       lambda_mode="explicit", lambda_row=0.3, lambda_col=0.4,
                       log_every=1)
-    adaptive = fresh_state(5, 4, seed=11, adaptive=True)
+    adaptive = fresh_state(5, 4, seed=11)
     snapshot = FixedLaplacians.from_state(adaptive)
     train(adaptive, mask, y, cfg)
     frozen = fresh_state(5, 4, seed=11)

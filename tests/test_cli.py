@@ -18,11 +18,16 @@ from aircomplete.data_lab import read_mask_pgm, read_pgm, write_pgm
 from aircomplete.dmf import initialize
 from aircomplete.errors import InvalidInput
 from aircomplete.mat_core import gaussian_matrix, make_rng
-from aircomplete.trainer import MetricTrace, ModelState
+from aircomplete.trainer import ModelState
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_trace(path):
+    """A trace CSV as a record array, one named field per column."""
+    return np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +103,9 @@ def test_complete_writes_all_outputs(small_problem, tmp_path, capsys):
     assert set(report) == {"nmae", "mse_obs", "mse_unobs", "iters",
                            "stop_reason"}
     assert report["nmae"] < 0.05
-    trace = MetricTrace.read_csv(out / "trace.csv")
-    assert trace.iters[0] == 0
-    assert trace.iters[-1] == report["iters"]
+    trace = read_trace(out / "trace.csv")
+    assert trace["iter"][0] == 0
+    assert trace["iter"][-1] == report["iters"]
     rec = np.loadtxt(out / "recovered.csv", delimiter=",", ndmin=2)
     assert rec.shape == (12, 10)
     assert "nmae" in capsys.readouterr().out
@@ -280,10 +285,10 @@ def test_regularizer_arms_match_pinned_final_rows(small_problem, tmp_path,
     out = tmp_path / "run"
     assert run(*complete_args(truth, mask, out, "--max-iters", 60,
                               "--log-every", 20, *extra)) == 0
-    trace = MetricTrace.read_csv(out / "trace.csv")
-    assert trace.iters == [0, 20, 40, 60]
-    row = (trace.total[-1], trace.fid[-1], trace.reg_r[-1], trace.reg_c[-1],
-           trace.mse_obs[-1], trace.mse_unobs[-1], trace.nmae[-1])
+    trace = read_trace(out / "trace.csv")
+    assert trace["iter"].tolist() == [0, 20, 40, 60]
+    row = tuple(trace[-1][["total", "fid", "reg_r", "reg_c", "mse_obs",
+                           "mse_unobs", "nmae"]])
     assert row == pytest.approx(expected, rel=1e-9)
 
 
@@ -461,6 +466,7 @@ def test_fixed_path_that_is_not_a_readable_npz_exits_one(
     assert code == 1
     assert err.startswith("error:") and str(lap) in err
     assert err.count("\n") == 1
+    assert "pickle" not in err
     assert not out.exists()
 
 
@@ -596,9 +602,9 @@ def test_baseline_dmf_disables_regularizer(small_problem, tmp_path):
                "--data-kind", "lowrank", "--mask-kind", "file",
                "--mask-path", mask, "--max-iters", 200,
                "--log-every", 100, "--out-dir", out) == 0
-    trace = MetricTrace.read_csv(out / "trace.csv")
-    assert all(v == 0.0 for v in trace.reg_r)
-    assert all(v == 0.0 for v in trace.reg_c)
+    trace = read_trace(out / "trace.csv")
+    assert all(v == 0.0 for v in trace["reg_r"])
+    assert all(v == 0.0 for v in trace["reg_c"])
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +629,8 @@ def test_sweep_writes_summary_and_suffixed_outputs(small_problem, tmp_path):
     for v in (2, 3):
         assert (out / f"trace_depth{v}.csv").exists()
         assert (out / f"report_depth{v}.json").exists()
+        assert (out / f"recovered_depth{v}.csv").exists()
+    assert not (out / "recovered.csv").exists()
 
 
 def test_sweep_records_failures_and_continues(small_problem, tmp_path):
@@ -668,6 +676,19 @@ def test_sweep_rejects_bad_values(small_problem, tmp_path):
     out.mkdir()
     assert run(*sweep_args(truth, mask, out, ",")) == 1
     assert run(*sweep_args(truth, mask, out, "2,x")) == 1
+    assert run(*sweep_args(truth, mask, out, "2,2")) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_rejects_a_non_integer_thread_count(small_problem, tmp_path,
+                                                  monkeypatch, capsys):
+    truth, mask = small_problem
+    out = tmp_path / "run"
+    monkeypatch.setenv("AIR_THREADS", "two")
+    assert run(*sweep_args(truth, mask, out, "2,3")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "AIR_THREADS" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +711,20 @@ def test_verify_thm1_passes_and_writes_report(tmp_path, capsys):
 
 def test_verify_thm1_rejects_coarse_step():
     assert run("verify", "--kind", "thm1", "--lr", 0.1) == 1
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("thm2", "--steps", 0), ("balance", "--steps", -1), ("thm2", "--lr", 0),
+    ("thm1", "--lr", 0), ("balance", "--lr", 0)])
+def test_verify_rejects_a_flow_it_cannot_integrate(capsys, kind, flag,
+                                                   value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", "--kind", kind, flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_thm2_reports_rate_miss(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from aircomplete.air_reg import (RegParam, build_laplacian, dirichlet_energy,
                                  grad_wrt_X, reg_value_and_grad)
+from aircomplete.baselines import FixedLaplacians
 from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask, lift)
@@ -303,7 +304,7 @@ def test_gd_fidelity_convergence_small_full_matrix():
     rng = make_rng(2)
     chain = initialize(2, 2, 2, scheme="gaussian", rng=rng, variance=0.01)
     state = ModelState(chain, RegParam(np.zeros((2, 2))),
-                       RegParam(np.zeros((2, 2))), adaptive=False)
+                       RegParam(np.zeros((2, 2))))
     y = np.array([1.0, 0.5, -0.3, 2.0])
     cfg = TrainConfig(optimizer="gd", lr=0.01, max_iters=5000,
                       lambda_mode="explicit", log_every=500)
@@ -381,14 +382,14 @@ def test_trace_reg_columns_are_lambda_scaled():
 
 def test_frozen_mode_leaves_graph_parameters_alone():
     state = small_state(seed=9, variance=1e-2)
-    state.adaptive = False
     rng = make_rng(10)
     mask = generate_mask(rng, 6, 5, "random", p=0.3)
     y = rng.standard_normal(mask.n_observed)
     w_row = state.reg_row.W.copy()
     cfg = TrainConfig(max_iters=200, stop_delta=0.0,
                       lambda_mode="explicit", lambda_row=0.1, lambda_col=0.1)
-    _, trace = train(state, mask, y, cfg)
+    _, trace = train(state, mask, y, cfg,
+                     penalty=FixedLaplacians.from_state(state))
     assert np.array_equal(state.reg_row.W, w_row)
     assert trace.reg_r[0] > 0  # energy logged even though W is frozen
 
@@ -578,10 +579,12 @@ def test_metric_trace_round_trip():
     text = tr.to_csv()
     assert text.splitlines()[0] == ("iter,total,fid,reg_r,reg_c,mse_obs,"
                                     "mse_unobs,nmae,sigma_1,sigma_2")
-    back = MetricTrace.from_csv(text)
-    assert back.iters == [0, 100]
-    assert back.total == tr.total and back.sigma == tr.sigma
-    assert np.isnan(back.mse_unobs[1]) and np.isnan(back.nmae[1])
+    rows = [[float(v) for v in ln.split(",")] for ln in text.splitlines()[1:]]
+    assert rows[0] == [0, 1.5, 1.0, 0.3, 0.2, 0.5, 0.25, 0.1, 2.0, 1.0]
+    assert text.splitlines()[2].startswith("100,")
+    assert rows[1][1:6] == [0.7, 0.5, 0.1, 0.1, 0.2]
+    assert np.isnan(rows[1][6]) and np.isnan(rows[1][7])
+    assert rows[1][8:] == [1.5, 0.5]
 
 
 def test_metric_trace_validation():
@@ -593,5 +596,3 @@ def test_metric_trace_validation():
         tr.append(5, np.nan, 1.0, 0.0, 0.0, 1.0)  # non-finite core value
     with pytest.raises(InvalidInput):
         tr.append(5, 1.0, 1.0, 0.0, 0.0, 1.0, sigma=(1.0,))  # wrong k
-    with pytest.raises(InvalidInput):
-        MetricTrace.from_csv("not,a,trace\n1,2,3\n")
