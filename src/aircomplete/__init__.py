@@ -6,7 +6,7 @@ Submodules:
 
 - mat_core: input validation, sign-fixed SVD, seeded randomness
 - data_lab: synthetic generators, observation masks, PGM input and output
-- dmf: factor chains, fidelity loss and gradients, initialization schemes
+- dmf: factor chains and their gradients, initialization schemes
 - air_reg: adjacency parameterizations, Laplacians, energy gradients
 - trainer: one optimization loop for every penalty, stopping rules, metric
   traces
@@ -23,8 +23,7 @@ from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
 from .data_lab import (GroundTruth, SamplingMask, apply_mask,
                        gen_block_ratings, gen_lowrank, generate_mask, lift,
                        read_mask_pgm, read_pgm, write_mask_pgm, write_pgm)
-from .dmf import (FactorChain, balance_residuals, fidelity_grad,
-                  fidelity_loss, forward, initialize, residual_matrix)
+from .dmf import FactorChain, balance_residuals, forward, initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
 from .mat_core import (SvdResult, finite_difference_grad, gaussian_matrix,
@@ -45,8 +44,7 @@ __all__ = [
     "GroundTruth", "SamplingMask", "apply_mask", "gen_block_ratings",
     "gen_lowrank", "generate_mask", "lift", "read_mask_pgm", "read_pgm",
     "write_mask_pgm", "write_pgm",
-    "FactorChain", "balance_residuals", "fidelity_grad", "fidelity_loss",
-    "forward", "initialize", "residual_matrix",
+    "FactorChain", "balance_residuals", "forward", "initialize",
     "DivergenceError", "ImputeError", "InvalidInput", "NumericOverflow",
     "ParseError",
     "SvdResult", "finite_difference_grad", "gaussian_matrix", "make_rng",

@@ -6,8 +6,9 @@ codes: 0 success, 1 usage or config error, 2 numeric failure,
 3 verification failure.
 
 Image (PGM) data is normalized to [0, 1] for training by dividing by the
-file's maxval; recovered images are written back as 8-bit P5. Non-image
-matrices travel as comma-separated text with 17 significant digits.
+file's maxval. Other matrices travel as comma-separated text with 17
+significant digits, and so does a recovered matrix unless its path ends
+in .pgm, which writes image data back as 8-bit P5.
 """
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ from .air_reg import (_PARAMETERIZATIONS, RegParam, build_laplacian,
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
                         tv_value_and_grad)
 from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
-                       gen_lowrank, generate_mask, read_mask_pgm, read_pgm,
-                       write_mask_pgm, write_pgm)
-from .dmf import FactorChain, fidelity_grad, fidelity_loss, initialize
+                       gen_lowrank, generate_mask, lift, read_mask_pgm,
+                       read_pgm, write_mask_pgm, write_pgm)
+from .dmf import initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
 from .mat_core import finite_difference_grad, gaussian_matrix, make_rng
@@ -278,9 +279,14 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _recovered_path(cfg: dict, is_image: bool) -> str:
+    """The recovered file's name; its extension sets the format."""
     path = cfg["outputs"]["recovered_path"]
-    default = "recovered.pgm" if is_image else "recovered.csv"
-    return default if path is None else path
+    if path is None:
+        return "recovered.pgm" if is_image else "recovered.csv"
+    if _is_pgm(path) and not is_image:
+        raise InvalidInput(f"recovered path {path} is a PGM image, but the "
+                           "data is not an image")
+    return path
 
 
 def _write_outputs(cfg: dict, out_dir, X, trace, mask, truth, is_image):
@@ -296,7 +302,7 @@ def _write_outputs(cfg: dict, out_dir, X, trace, mask, truth, is_image):
     if trace_path and len(trace):
         trace.write_csv(trace_path)
     if rec_path:
-        if is_image:
+        if _is_pgm(rec_path):
             write_pgm(np.clip(X, 0.0, 1.0) * 255.0, rec_path)
         else:
             write_matrix_csv(rec_path, X)
@@ -312,6 +318,7 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
     _validate_config(cfg)
     rng = make_rng(cfg["seed"])
     truth, is_image = _build_data(cfg, rng)
+    _recovered_path(cfg, is_image)  # reject a PGM path for other data
     m, n = truth.full.shape
     mask = _build_mask(cfg, rng, (m, n))
     y_obs = apply_mask(truth.full, mask)
@@ -341,6 +348,9 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
         for key in ("L_r", "L_c"):
             if key not in laps:
                 raise InvalidInput(f"{path} has no array {key!r}")
+            # np.load hands a member without the .npy magic back as bytes
+            if not isinstance(laps[key], np.ndarray):
+                raise InvalidInput(f"{path} member {key!r} is not an array")
         penalty = FixedLaplacians(laps["L_r"], laps["L_c"])
     # preconditions all hold past this point, safe to touch the filesystem
     if out_dir:
@@ -360,6 +370,7 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
     if len(set(values)) != len(values):
         raise InvalidInput(f"sweep values must be distinct, got {values}")
     _validate_config(cfg)
+    recovered = _recovered_path(cfg, _is_pgm(cfg["data"]["path"]))
     try:
         workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
     except ValueError:
@@ -372,8 +383,7 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
         sub = copy.deepcopy(cfg)
         sub["model"][axis] = v
         # each arm writes its own files, the default recovered one included
-        sub["outputs"]["recovered_path"] = _recovered_path(
-            sub, _is_pgm(sub["data"]["path"]))
+        sub["outputs"]["recovered_path"] = recovered
         for key in ("trace_csv", "recovered_path", "report_path"):
             p = sub["outputs"][key]
             if p:
@@ -423,8 +433,10 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
     worst = 0.0
 
     def check(label, ana, num):
+        # each parameter against its own largest finite-difference entry
         nonlocal worst
-        rel = float(np.max(np.abs(ana - num)) / (np.max(np.abs(num)) + 1e-300))
+        rel = max(float(np.max(np.abs(a - b)) / (np.max(np.abs(b)) + 1e-300))
+                  for a, b in zip(ana, num))
         worst = max(worst, rel)
         lines.append(f"gradcheck {label}: rel err {rel:.3e}")
 
@@ -437,20 +449,12 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
             def energy(Wx, par=par, M=M):
                 return dirichlet_energy(build_laplacian(RegParam(Wx, par)).L, M)
 
-            check(f"adjacency {par} m={m}", reg_value_and_grad(p, M)[1],
-                  finite_difference_grad(energy, W))
-    # factor gradients and the X-gradient of the energy terms
+            check(f"adjacency {par} m={m}", [reg_value_and_grad(p, M)[1]],
+                  [finite_difference_grad(energy, W)])
+    # a 6x5 depth-3 instance for the whole-objective checks at the end
     chain = initialize(6, 5, 3, scheme="gaussian", rng=rng, variance=0.04)
     mask = generate_mask(rng, 6, 5, "random", p=0.3)
     y = gaussian_matrix(rng, 1, mask.n_observed)[0]
-    ana = fidelity_grad(chain, mask, y)
-    for l in range(chain.depth):
-        def loss(Wx, l=l):
-            facs = [f.copy() for f in chain.factors]
-            facs[l] = Wx
-            return fidelity_loss(FactorChain(facs), mask, y)
-
-        check(f"factor {l}", ana[l], finite_difference_grad(loss, chain.factors[l]))
     X = gaussian_matrix(rng, 6, 5)
     Lr = build_laplacian(RegParam(gaussian_matrix(rng, 6, 6))).L
     Lc = build_laplacian(RegParam(gaussian_matrix(rng, 5, 5))).L
@@ -458,13 +462,39 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
     def xenergy(Xx):
         return (0.4 * dirichlet_energy(Lr, Xx) + 0.6 * dirichlet_energy(Lc, Xx.T))
 
-    check("energy-in-X", grad_wrt_X(Lr, Lc, X, 0.4, 0.6),
-          finite_difference_grad(xenergy, X))
+    check("energy-in-X", [grad_wrt_X(Lr, Lc, X, 0.4, 0.6)],
+          [finite_difference_grad(xenergy, X)])
 
     tvc = TvConfig(eps=1e-3)
     Xt = gaussian_matrix(rng, 6, 6)
-    check("tv", tv_value_and_grad(Xt, tvc)[1],
-          finite_difference_grad(lambda Z: tv_value_and_grad(Z, tvc)[0], Xt))
+    check("tv", [tv_value_and_grad(Xt, tvc)[1]],
+          [finite_difference_grad(lambda Z: tv_value_and_grad(Z, tvc)[0], Xt)])
+
+    # the trainer's step gradient against the total its trace logs
+    lam_r, lam_c = 0.3, 0.7
+    penalties = [(f"air {par}", trainer._AdaptiveReg(
+        *(RegParam(gaussian_matrix(rng, k, k, variance=0.5), par)
+          for k in (6, 5)), lam_r, lam_c)) for par in _PARAMETERIZATIONS]
+    penalties += [("frozen", trainer._FrozenReg(Lr, Lc, lam_r, lam_c)),
+                  ("tv", trainer._TvReg(tvc, lam_r)),
+                  ("none", trainer._NoReg())]
+    for label, strategy in penalties:
+        def objective(Z, p, strategy=strategy):
+            saved, p[...] = p.copy(), Z  # p restored before returning
+            X = trainer.forward(chain)
+            d = apply_mask(X, mask) - y
+            Rr, Rc = strategy.values(X)  # Rc is 0 for tv and none
+            p[...] = saved
+            return 0.5 * float(d @ d) + lam_r * Rr + lam_c * Rc
+
+        partials = []
+        X = trainer.forward(chain, partials)
+        _, _, Gx, w_grads = strategy.compute(X)
+        G = lift(apply_mask(X, mask) - y, mask)
+        ana = trainer._gradients(chain, partials, G, Gx, w_grads)
+        check(f"objective {label}", ana, [
+            finite_difference_grad(lambda Z, p=p: objective(Z, p), p)
+            for p in chain.factors + list(strategy.w_params)])
     lines.append(f"gradcheck worst: {worst:.3e} (pass bound 1e-5)")
     return worst < 1e-5, lines
 
@@ -715,6 +745,7 @@ def _cmd_baseline(args) -> int:
     _validate_config(cfg)
     rng = make_rng(cfg["seed"])
     truth, is_image = _build_data(cfg, rng)
+    _recovered_path(cfg, is_image)  # reject a PGM path for other data
     mask = _build_mask(cfg, rng, truth.full.shape)
     masked = np.where(mask.observed, truth.full, 0.0)
     if args.method == "knn":

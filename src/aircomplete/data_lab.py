@@ -167,6 +167,8 @@ def generate_mask(rng: np.random.Generator, rows: int, cols: int,
 
 def gen_lowrank(rng: np.random.Generator, m: int, n: int, rank: int) -> GroundTruth:
     """Exact rank-`rank` matrix G H^T with standard Gaussian factors."""
+    if m < 1 or n < 1:
+        raise InvalidInput(f"matrix dimensions must be positive, got {m}x{n}")
     if rank < 1 or rank > min(m, n):
         raise InvalidInput(f"rank must lie in [1, {min(m, n)}], got {rank}")
     G = rng.normal(size=(m, rank))
@@ -184,6 +186,8 @@ def gen_block_ratings(rng: np.random.Generator, m: int, n: int,
     identical, which gives a ground-truth instance of the identical-row
     pair structure the convergence theory is stated for.
     """
+    if m < 1 or n < 1:
+        raise InvalidInput(f"matrix dimensions must be positive, got {m}x{n}")
     if row_groups < 1 or m % row_groups != 0:
         raise InvalidInput(f"row_groups must divide m ({m}), got {row_groups}")
     if col_groups < 1 or n % col_groups != 0:

@@ -1,4 +1,4 @@
-"""Deep matrix factorization: factor chain, losses, gradients, initialization.
+"""Deep matrix factorization: factor chain, factor gradients, initialization.
 
 The model represents the recovered matrix as the ordered product
 X = W(L-1) W(L-2) ... W(0) with shapes m x r, r x r, ..., r x n. Depth
@@ -12,12 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .data_lab import SamplingMask, apply_mask, lift
 from .errors import InvalidInput
 from .mat_core import gaussian_matrix, svd
 
-__all__ = ["FactorChain", "forward", "fidelity_loss", "fidelity_grad",
-           "residual_matrix", "initialize", "balance_residuals"]
+__all__ = ["FactorChain", "forward", "initialize", "balance_residuals"]
 
 
 @dataclass
@@ -79,33 +77,6 @@ def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
             partials.append(X)
         X = mul(X, W)
     return X
-
-
-def residual_matrix(chain: FactorChain, mask: SamplingMask, y_obs) -> np.ndarray:
-    """X - Y on observed positions, zero elsewhere (the lifted residual)."""
-    y_obs = np.asarray(y_obs, dtype=np.float64)
-    if y_obs.shape != (mask.n_observed,):
-        raise InvalidInput(f"expected {mask.n_observed} observed values, "
-                           f"got shape {y_obs.shape}")
-    return lift(apply_mask(forward(chain), mask) - y_obs, mask)
-
-
-def fidelity_loss(chain: FactorChain, mask: SamplingMask, y_obs) -> float:
-    """Half the squared error over observed positions."""
-    G = residual_matrix(chain, mask, y_obs)
-    return 0.5 * float((G * G).sum())
-
-
-def fidelity_grad(chain: FactorChain, mask: SamplingMask, y_obs) -> list[np.ndarray]:
-    """Per-factor gradients of the fidelity loss.
-
-    For factor l the chain rule gives (prod of later factors)^T G
-    (prod of earlier factors)^T, where G is the lifted residual. Lifting
-    by zero-fill is the exact adjoint of entry sampling, so these are
-    exact gradients, not approximations.
-    """
-    G = residual_matrix(chain, mask, y_obs)
-    return factor_grads_from_full(chain, G)
 
 
 def factor_grads_from_full(chain: FactorChain, G: np.ndarray,

@@ -32,6 +32,8 @@ class SvdResult(NamedTuple):
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator (PCG64). Same seed, same stream, every platform."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

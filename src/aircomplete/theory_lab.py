@@ -37,10 +37,10 @@ from . import air_reg
 from .air_reg import (RegParam, _sq_distances, _sum_value_grad_from_K,
                       build_laplacian, decay_constant, identical_row_pairs,
                       limit_laplacian)
-from .dmf import balance_residuals, factor_grads_from_full, forward, initialize
+from .dmf import balance_residuals, forward, initialize
 from .errors import DivergenceError, InvalidInput
 from .mat_core import as_matrix, gaussian_matrix
-from .trainer import _AdaptiveReg, _NoReg
+from .trainer import _AdaptiveReg, _NoReg, _gradients
 
 __all__ = ["FlowReport", "verify_theorem1", "verify_theorem2",
            "verify_balance"]
@@ -96,11 +96,7 @@ def _descend(chain, strategy, Y, lr, steps):
         if it == steps:
             return
         _, _, Gx, w_grads = strategy.compute(X)
-        G = X - Y
-        if Gx is not None:
-            G += Gx
-        grads = factor_grads_from_full(chain, G, partials)
-        grads.extend(w_grads)
+        grads = _gradients(chain, partials, X - Y, Gx, w_grads)
         for p, g in zip(params, grads):
             p -= lr * g
 

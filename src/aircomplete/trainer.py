@@ -350,6 +350,17 @@ class _TvReg(_NoReg):
         return value, 0.0, self.lam * grad, ()
 
 
+def _gradients(chain: FactorChain, partials, G, Gx, w_grads) -> list:
+    """Gradients of the factors, then w_grads: G is the lifted residual,
+    to which the penalty's X-gradient Gx (None without one) is added in
+    place, and partials are the forward pass's."""
+    if Gx is not None:
+        G += Gx
+    grads = factor_grads_from_full(chain, G, partials)
+    grads.extend(w_grads)
+    return grads
+
+
 # a diverging run overflows in many places; the loop checks X, the
 # objective and every parameter itself and raises with the iteration
 @np.errstate(over="ignore", invalid="ignore")
@@ -474,18 +485,14 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
         if last:
             break
 
-        G = lift(diff, mask)
-        if Gx is not None:
-            G += Gx
-        grads = factor_grads_from_full(chain, G, partials)
-        grads.extend(w_grads)
+        grads = _gradients(chain, partials, lift(diff, mask), Gx, w_grads)
         opt.step(grads)
         for j, p in enumerate(params):
             if not np.isfinite(p).all():
                 what = f"factor {j}" if j < n_fac else "graph parameter"
                 raise failed(DivergenceError(it + 1, what))
         # free this pass's arrays before the next pass allocates its own
-        del X, partials, diff, G, Gx, grads, w_grads
+        del X, partials, diff, Gx, grads, w_grads
 
     trace.stop_reason = stop_reason
     return state, trace

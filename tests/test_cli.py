@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 import aircomplete
-from aircomplete import cli
+from aircomplete import cli, trainer
 from aircomplete.air_reg import RegParam
 from aircomplete.baselines import FixedLaplacians
 from aircomplete.cli import main
@@ -241,6 +242,46 @@ def test_complete_pgm_image_pipeline(tmp_path):
     assert rec.value_range == (0.0, 255.0)
 
 
+def test_recovered_csv_path_writes_image_data_as_csv(tmp_path, capsys):
+    # the extension picks the format: CSV in training units, which eval
+    # scores on the same [0, 1] scale as the PGM truth
+    img = tmp_path / "img.pgm"
+    write_pgm(np.outer(np.linspace(40, 200, 8), np.linspace(0.5, 1.0, 9)),
+              img)
+    mask = tmp_path / "m.pgm"
+    assert run("gen-mask", "--kind", "random", "--rows", 8, "--cols", 9,
+               "--missing", 0.2, "--seed", 2, "--out", mask) == 0
+    out = tmp_path / "run"
+    assert run("complete", "--data-kind", "image", "--data-path", img,
+               "--mask-kind", "file", "--mask-path", mask,
+               "--max-iters", 200, "--recovered", "rec.csv",
+               "--out-dir", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    rec = np.loadtxt(out / "rec.csv", delimiter=",", ndmin=2)
+    assert rec.shape == (8, 9)
+    assert not (out / "recovered.pgm").exists()
+    capsys.readouterr()
+    assert run("eval", "--recovered", out / "rec.csv", "--truth", img,
+               "--mask", mask) == 0
+    scored = json.loads(capsys.readouterr().out)
+    assert scored["nmae"] == pytest.approx(report["nmae"], rel=1e-12)
+
+
+@pytest.mark.parametrize("command", [
+    ("complete",), ("baseline", "--method", "knn"),
+    ("sweep", "--axis", "depth", "--values", "2,3")])
+def test_recovered_pgm_path_for_non_image_data_exits_one(
+        small_problem, tmp_path, capsys, command):
+    truth, mask = small_problem
+    out = tmp_path / "run"
+    args = complete_args(truth, mask, out, "--recovered", "rec.pgm")
+    assert run(*command, *args[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rec.pgm" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # final trace rows (total, fid, reg_r, reg_c, mse_obs, mse_unobs, nmae) of a
 # 60-iteration run of each regularizer arm, recorded before the arms shared
 # one training entry point
@@ -442,6 +483,14 @@ def _damaged_npz(path):
     path.write_bytes(bytes(raw))
 
 
+def _raw_member_npz(path):
+    # an L_r.npy member without the .npy magic, which np.load hands back
+    # as bytes
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("L_r.npy", b"\x93NU")
+        z.writestr("L_c.npy", b"")
+
+
 UNREADABLE_LAPLACIANS = {
     "laps.txt": lambda p: p.write_text("L_r,L_c\n"),
     "laps.npy": lambda p: np.save(p, np.zeros((12, 12))),
@@ -450,6 +499,7 @@ UNREADABLE_LAPLACIANS = {
     "objects.npz": lambda p: np.savez(p, L_r=np.full((12, 12), None),
                                       L_c=np.zeros((10, 10))),
     "bad_crc.npz": _damaged_npz,
+    "raw_member.npz": _raw_member_npz,
 }
 
 
@@ -468,6 +518,26 @@ def test_fixed_path_that_is_not_a_readable_npz_exits_one(
     assert err.count("\n") == 1
     assert "pickle" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("complete", "--seed", -1), ("complete", "--model-seed", -1),
+    ("baseline", "--method", "knn", "--seed", -1),
+    ("gen-data", "--seed", -1, "--out", "x.csv"),
+    ("gen-mask", "--rows", 4, "--cols", 4, "--seed", -1, "--out", "x.pgm"),
+    ("verify", "--kind", "gradcheck", "--seed", -1),
+    ("verify", "--kind", "thm1", "--seed", -1),
+    ("verify", "--kind", "balance", "--seed", -1)])
+def test_negative_seed_exits_one_and_writes_nothing(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    extra = ("--out-dir", out) if argv[0] in ("complete", "baseline") else ()
+    assert run(*argv, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-1" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_key_error_inside_a_handler_propagates(monkeypatch):
@@ -697,6 +767,35 @@ def test_sweep_rejects_a_non_integer_thread_count(small_problem, tmp_path,
 def test_verify_gradcheck_passes(capsys):
     assert run("verify", "--kind", "gradcheck", "--seed", 0) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def scale_w_grads_twice(monkeypatch):
+    compute = trainer._AdaptiveReg.compute
+
+    def twice(self, X):
+        Rr, Rc, Gx, (gWr, gWc) = compute(self, X)
+        return Rr, Rc, Gx, (self.lam_r * gWr, self.lam_c * gWc)
+
+    monkeypatch.setattr(trainer._AdaptiveReg, "compute", twice)
+
+
+def drop_gx(monkeypatch):
+    gradients = trainer._gradients
+    monkeypatch.setattr(trainer, "_gradients",
+                        lambda chain, partials, G, Gx, w_grads:
+                        gradients(chain, partials, G, None, w_grads))
+
+
+@pytest.mark.parametrize("fault", [scale_w_grads_twice, drop_gx])
+def test_gradcheck_catches_a_faulty_step_gradient(monkeypatch, fault):
+    ok, lines = cli._gradcheck(0)
+    assert ok
+    assert sum(ln.startswith("gradcheck objective") for ln in lines) == 5
+    fault(monkeypatch)
+    ok, lines = cli._gradcheck(0)
+    assert not ok
+    assert any(ln.startswith("gradcheck objective air")
+               and float(ln.split()[-1]) > 1e-2 for ln in lines)
 
 
 def test_verify_thm1_passes_and_writes_report(tmp_path, capsys):

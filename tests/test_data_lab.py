@@ -132,6 +132,14 @@ def test_gen_lowrank_full_rank_and_validation():
         gen_lowrank(make_rng(0), 6, 4, 5)
 
 
+@pytest.mark.parametrize("m,n", [(0, 8), (-6, 8), (8, 0)])
+def test_generators_reject_non_positive_dimensions(m, n):
+    with pytest.raises(InvalidInput, match=f"{m}x{n}"):
+        gen_lowrank(make_rng(0), m, n, 2)
+    with pytest.raises(InvalidInput, match=f"{m}x{n}"):
+        gen_block_ratings(make_rng(0), m, n, 2, 2)
+
+
 def test_block_ratings_group_structure():
     Y = gen_block_ratings(make_rng(5), 4, 4, 2, 2, noise=0.0).full
     assert np.array_equal(Y[0], Y[1]) and np.array_equal(Y[2], Y[3])

@@ -1,16 +1,27 @@
-"""Factor chain, fidelity loss/gradients, and initialization schemes."""
+"""Factor chain, factor gradients, and initialization schemes."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask
+from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask, lift
 from aircomplete.dmf import (FactorChain, balance_residuals,
-                             factor_grads_from_full, fidelity_grad,
-                             fidelity_loss, forward, initialize,
-                             residual_matrix)
+                             factor_grads_from_full, forward, initialize)
 from aircomplete.errors import InvalidInput
 from aircomplete.mat_core import make_rng
+
+
+def half_sq_error(chain, mask, y):
+    # the fidelity loss, 1/2 the squared error over observed positions
+    d = apply_mask(forward(chain), mask) - y
+    return 0.5 * float(d @ d)
+
+
+def fidelity_grad(chain, mask, y):
+    # the fidelity's factor gradients as the trainer forms them: the
+    # lifted residual through factor_grads_from_full
+    G = lift(apply_mask(forward(chain), mask) - y, mask)
+    return factor_grads_from_full(chain, G)
 
 
 def fd_factor_grads(chain, mask, y, h=1e-5):
@@ -22,7 +33,7 @@ def fd_factor_grads(chain, mask, y, h=1e-5):
             for sgn in (1.0, -1.0):
                 facs = [f.copy() for f in chain.factors]
                 facs[l][idx] += sgn * h
-                G[idx] += sgn * fidelity_loss(FactorChain(facs), mask, y)
+                G[idx] += sgn * half_sq_error(FactorChain(facs), mask, y)
         grads.append(G / (2 * h))
     return grads
 
@@ -52,40 +63,6 @@ def test_forward_matches_reverse_association():
     for W in chain.factors[1:]:
         Y = W @ Y
     assert np.allclose(X, Y, rtol=1e-12)
-
-
-def test_fidelity_loss_exact_fit_is_zero():
-    chain = FactorChain([np.array([[1.0, 0.0], [0.0, 1.0]]), np.eye(2)])
-    y = apply_mask(forward(chain), full_mask(2, 2))
-    assert fidelity_loss(chain, full_mask(2, 2), y) == 0.0
-
-
-def test_fidelity_loss_single_entry_hand_value():
-    chain = FactorChain([np.array([[6.0]]), np.array([[1.0]])])
-    mask = SamplingMask(np.array([[True]]))
-    assert fidelity_loss(chain, mask, [1.0]) == pytest.approx(12.5)
-
-
-def test_fidelity_loss_matches_elementwise_oracle():
-    rng = make_rng(2)
-    chain = initialize(6, 5, 3, scheme="gaussian", rng=rng, variance=1.0)
-    mask = generate_mask(rng, 6, 5, "random", p=0.4)
-    y = rng.standard_normal(mask.n_observed)
-    X = forward(chain)
-    acc = 0.0
-    pos = 0
-    for i in range(6):
-        for j in range(5):
-            if mask.observed[i, j]:
-                acc += 0.5 * (X[i, j] - y[pos]) ** 2
-                pos += 1
-    assert fidelity_loss(chain, mask, y) == pytest.approx(acc, rel=1e-12)
-
-
-def test_fidelity_loss_length_mismatch():
-    chain = initialize(3, 3, 2, scheme="gaussian", rng=make_rng(0))
-    with pytest.raises(InvalidInput):
-        fidelity_loss(chain, full_mask(3, 3), np.zeros(5))
 
 
 def test_fidelity_grad_scalar_hand_chain_rule():
@@ -228,16 +205,6 @@ def test_factor_grads_peak_allocation_at_depth_8():
         assert len(grads) == L
         assert peak <= (L + 2) * factor_bytes
         del grads
-
-
-def test_residual_matrix_zero_fill():
-    rng = make_rng(4)
-    chain = initialize(3, 4, 2, scheme="gaussian", rng=rng, variance=1.0)
-    mask = generate_mask(rng, 3, 4, "random", p=0.5)
-    y = rng.standard_normal(mask.n_observed)
-    R = residual_matrix(chain, mask, y)
-    assert np.all(R[~mask.observed] == 0.0)
-    assert np.allclose(R[mask.observed], forward(chain)[mask.observed] - y)
 
 
 def test_initialize_shapes_and_default_width():
