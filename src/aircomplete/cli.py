@@ -142,6 +142,10 @@ _ENUMS = {
     "regularizer.lambda_mode": trainer._LAMBDA_MODES,
     "optimizer.kind": trainer._OPTIMIZERS,
 }
+_SWEEP_AXES = ("depth", "width")
+# the regularizer.mode of each baseline method; knn and svd read no penalty
+_METHOD_MODES = {"knn": "none", "svd": "none", "dmf": "none", "tv": "tv",
+                 "fixed": "fixed"}
 
 
 def _validate_config(cfg: dict):
@@ -152,8 +156,6 @@ def _validate_config(cfg: dict):
         if val not in allowed:
             raise InvalidInput(f"{path} must be one of {allowed}, "
                                f"got {val!r}")
-    if cfg["model"]["depth"] < 2:
-        raise InvalidInput("model depth must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +247,6 @@ def _build_mask(cfg: dict, rng, shape) -> SamplingMask:
                          thickness=mk["thickness"])
 
 
-def _build_state(cfg: dict, m: int, n: int, rng) -> ModelState:
-    mod = cfg["model"]
-    reg = cfg["regularizer"]
-    r = mod["width"] if mod["width"] else min(m, n)
-    chain = initialize(m, n, mod["depth"], r=r, scheme=mod["init"], rng=rng,
-                       variance=mod["variance"])
-    par = reg["parameterization"]
-    reg_row = RegParam(gaussian_matrix(rng, m, m, variance=1e-5), par)
-    reg_col = RegParam(gaussian_matrix(rng, n, n, variance=1e-5), par)
-    return ModelState(chain, reg_row, reg_col)
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    opt = cfg["optimizer"]
-    stop = cfg["stopping"]
-    reg = cfg["regularizer"]
-    lambda_mode = reg["lambda_mode"]
-    lam_r, lam_c = reg["lambda_row"], reg["lambda_col"]
-    if reg["mode"] == "none":
-        lambda_mode, lam_r, lam_c = "explicit", 0.0, 0.0
-    elif reg["mode"] == "tv" and reg["tv_weight"] is not None:
-        # TV is weighted by lambda_row: tv_weight when set, else as resolved
-        lambda_mode, lam_r, lam_c = "explicit", reg["tv_weight"], 0.0
-    return TrainConfig(
-        optimizer=opt["kind"], lr=opt["lr"], beta1=opt["beta1"],
-        beta2=opt["beta2"], eps=opt["eps"], max_iters=stop["max_iters"],
-        stop_delta=stop["delta"], stop_patience=stop["patience"],
-        stop_warmup=stop["warmup"], stop_mse_obs=stop["mse_obs"],
-        lambda_mode=lambda_mode, lambda_row=lam_r, lambda_col=lam_c,
-        log_every=cfg["log_every"],
-        track_singular_values=cfg["track_singular_values"])
-
-
 def _recovered_path(cfg: dict, is_image: bool) -> str:
     """The recovered file's name; its extension sets the format."""
     path = cfg["outputs"]["recovered_path"]
@@ -289,7 +258,8 @@ def _recovered_path(cfg: dict, is_image: bool) -> str:
     return path
 
 
-def _write_outputs(cfg: dict, out_dir, X, trace, mask, truth, is_image):
+def _write_outputs(cfg: dict, out_dir, X, trace, prep):
+    truth, is_image, mask = prep[:3]
     outs = cfg["outputs"]
     trace_path = _resolve(out_dir, outs["trace_csv"])
     rec_path = _resolve(out_dir, _recovered_path(cfg, is_image))
@@ -313,20 +283,18 @@ def _write_outputs(cfg: dict, out_dir, X, trace, mask, truth, is_image):
     return report
 
 
-def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
-    """Generate or load data, train the configured model, write outputs."""
+def _prepare(cfg: dict):
+    """Validate cfg and build a run's inputs up to its model: (truth,
+    is_image, mask, train config, penalty, model rng). Every input error
+    that does not depend on the model is raised here."""
     _validate_config(cfg)
     rng = make_rng(cfg["seed"])
     truth, is_image = _build_data(cfg, rng)
     _recovered_path(cfg, is_image)  # reject a PGM path for other data
-    m, n = truth.full.shape
-    mask = _build_mask(cfg, rng, (m, n))
-    y_obs = apply_mask(truth.full, mask)
+    mask = _build_mask(cfg, rng, truth.full.shape)
     model_rng = rng if cfg["model_seed"] is None else make_rng(cfg["model_seed"])
-    state = _build_state(cfg, m, n, model_rng)
 
     reg = cfg["regularizer"]
-    tcfg = _train_config(cfg)
     penalty = None
     if reg["mode"] == "tv":
         penalty = TvConfig(eps=reg["tv_eps"])
@@ -352,25 +320,63 @@ def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
             if not isinstance(laps[key], np.ndarray):
                 raise InvalidInput(f"{path} member {key!r} is not an array")
         penalty = FixedLaplacians(laps["L_r"], laps["L_c"])
+
+    opt = cfg["optimizer"]
+    stop = cfg["stopping"]
+    lambda_mode = reg["lambda_mode"]
+    lam_r, lam_c = reg["lambda_row"], reg["lambda_col"]
+    if reg["mode"] == "none":
+        lambda_mode, lam_r, lam_c = "explicit", 0.0, 0.0
+    elif reg["mode"] == "tv" and reg["tv_weight"] is not None:
+        # TV is weighted by lambda_row: tv_weight when set, else as resolved
+        lambda_mode, lam_r, lam_c = "explicit", reg["tv_weight"], 0.0
+    tcfg = TrainConfig(
+        optimizer=opt["kind"], lr=opt["lr"], beta1=opt["beta1"],
+        beta2=opt["beta2"], eps=opt["eps"], max_iters=stop["max_iters"],
+        stop_delta=stop["delta"], stop_patience=stop["patience"],
+        stop_warmup=stop["warmup"], stop_mse_obs=stop["mse_obs"],
+        lambda_mode=lambda_mode, lambda_row=lam_r, lambda_col=lam_c,
+        log_every=cfg["log_every"],
+        track_singular_values=cfg["track_singular_values"])
+    return truth, is_image, mask, tcfg, penalty, model_rng
+
+
+def _fit(cfg: dict, out_dir, prep) -> dict:
+    truth, _, mask, tcfg, penalty, model_rng = prep
+    m, n = truth.full.shape
+    mod = cfg["model"]
+    # a copy, so that every fit on one prep draws the same initial model
+    rng = copy.deepcopy(model_rng)
+    chain = initialize(m, n, mod["depth"], r=mod["width"] or min(m, n),
+                       scheme=mod["init"], rng=rng, variance=mod["variance"])
+    regs = [RegParam(gaussian_matrix(rng, k, k, variance=1e-5),
+                     cfg["regularizer"]["parameterization"]) for k in (m, n)]
+    state = ModelState(chain, *regs)
     # preconditions all hold past this point, safe to touch the filesystem
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    _, trace = train(state, mask, y_obs, tcfg, truth, penalty=penalty)
+    _, trace = train(state, mask, apply_mask(truth.full, mask), tcfg, truth,
+                     penalty=penalty)
+    return _write_outputs(cfg, out_dir, trainer.forward(state.chain), trace,
+                          prep)
 
-    X = trainer.forward(state.chain)
-    return _write_outputs(cfg, out_dir, X, trace, mask, truth, is_image)
+
+def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
+    """Generate or load data, train the configured model, write outputs."""
+    return _fit(cfg, out_dir, _prepare(cfg))
 
 
 def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
     """One run per distinct axis value (model depth or width), shared seed."""
-    if axis not in ("depth", "width"):
-        raise InvalidInput(f"sweep axis must be depth or width, got {axis!r}")
+    if axis not in _SWEEP_AXES:
+        raise InvalidInput(f"sweep axis must be {' or '.join(_SWEEP_AXES)}, "
+                           f"got {axis!r}")
     if not values:
         raise InvalidInput("sweep values must be nonempty")
     if len(set(values)) != len(values):
         raise InvalidInput(f"sweep values must be distinct, got {values}")
-    _validate_config(cfg)
-    recovered = _recovered_path(cfg, _is_pgm(cfg["data"]["path"]))
+    prep = _prepare(cfg)
+    recovered = _recovered_path(cfg, prep[1])
     try:
         workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
     except ValueError:
@@ -390,8 +396,8 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
                 root, ext = os.path.splitext(p)
                 sub["outputs"][key] = f"{root}_{axis}{v}{ext}"
         try:
-            rep = run_complete(sub, out_dir)
-            return (v, rep, None)
+            _validate_config(sub)
+            return (v, _fit(sub, out_dir, prep), None)
         except (InvalidInput, ParseError, ImputeError, NumericOverflow,
                 DivergenceError, OSError) as e:
             # a failed arm is recorded and the sweep goes on; any other
@@ -658,8 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(g)
 
     g = sub.add_parser("baseline", help="run a comparison method")
-    g.add_argument("--method", required=True,
-                   choices=("knn", "svd", "dmf", "tv", "fixed"))
+    g.add_argument("--method", required=True, choices=_METHOD_MODES)
     g.add_argument("--k", type=int, default=5)
     g.add_argument("--svd-rank", type=int, default=10)
     g.add_argument("--svd-tol", type=float, default=1e-6)
@@ -667,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(g)
 
     g = sub.add_parser("sweep", help="repeat a run along depth or width")
-    g.add_argument("--axis", required=True, choices=("depth", "width"))
+    g.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     g.add_argument("--values", required=True,
                    help="comma-separated integers, e.g. 2,3,4")
     _add_run_flags(g)
@@ -738,15 +743,11 @@ def _cmd_complete(args, cfg=None) -> int:
 
 def _cmd_baseline(args) -> int:
     cfg = load_config(args.config, _overrides_from_args(args))
+    cfg["regularizer"]["mode"] = _METHOD_MODES[args.method]
     if args.method in ("dmf", "tv", "fixed"):
-        cfg["regularizer"]["mode"] = {"dmf": "none", "tv": "tv",
-                                      "fixed": "fixed"}[args.method]
         return _cmd_complete(args, cfg)
-    _validate_config(cfg)
-    rng = make_rng(cfg["seed"])
-    truth, is_image = _build_data(cfg, rng)
-    _recovered_path(cfg, is_image)  # reject a PGM path for other data
-    mask = _build_mask(cfg, rng, truth.full.shape)
+    prep = _prepare(cfg)
+    truth, _, mask = prep[:3]
     masked = np.where(mask.observed, truth.full, 0.0)
     if args.method == "knn":
         X = knn_impute(masked, mask, args.k)
@@ -757,8 +758,7 @@ def _cmd_baseline(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     # an empty trace: no trace file, 0 iterations
     report = _write_outputs(cfg, args.out_dir, X,
-                            MetricTrace(stop_reason=args.method), mask,
-                            truth, is_image)
+                            MetricTrace(stop_reason=args.method), prep)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -766,7 +766,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, _overrides_from_args(args))
     try:
-        values = [int(v) for v in args.values.split(",") if v.strip()]
+        values = [int(v) for v in args.values.split(",")]
     except ValueError:
         raise InvalidInput(f"sweep values must be integers, got {args.values!r}")
     run_sweep(cfg, args.axis, values, args.out_dir)

@@ -527,12 +527,15 @@ def test_fixed_path_that_is_not_a_readable_npz_exits_one(
     ("gen-mask", "--rows", 4, "--cols", 4, "--seed", -1, "--out", "x.pgm"),
     ("verify", "--kind", "gradcheck", "--seed", -1),
     ("verify", "--kind", "thm1", "--seed", -1),
-    ("verify", "--kind", "balance", "--seed", -1)])
+    ("verify", "--kind", "balance", "--seed", -1),
+    ("sweep", "--axis", "depth", "--values", "2,3", "--seed", -1),
+    ("baseline", "--method", "knn", "--model-seed", -1)])
 def test_negative_seed_exits_one_and_writes_nothing(tmp_path, monkeypatch,
                                                     capsys, argv):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
-    extra = ("--out-dir", out) if argv[0] in ("complete", "baseline") else ()
+    extra = (("--out-dir", out) if argv[0] in ("complete", "baseline", "sweep")
+             else ())
     assert run(*argv, *extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "-1" in err
@@ -652,7 +655,9 @@ def test_overflow_exits_two_with_warnings_as_errors(tmp_path, capsys):
 
 def test_baseline_knn_and_svd(small_problem, tmp_path):
     truth, mask = small_problem
-    for method, extra in (("knn", ("--k", 2)), ("svd", ("--svd-rank", 2))):
+    # knn and svd read no penalty, so --reg fixed needs no --fixed-path
+    for method, extra in (("knn", ("--k", 2)),
+                          ("svd", ("--svd-rank", 2, "--reg", "fixed"))):
         out = tmp_path / method
         out.mkdir()
         assert run("baseline", "--method", method, "--data-path", truth,
@@ -717,10 +722,10 @@ def test_sweep_propagates_programming_errors(small_problem, tmp_path,
                                             monkeypatch):
     truth, mask = small_problem
 
-    def broken(cfg, out_dir):
+    def broken(cfg, out_dir, prep):
         raise TypeError("bug in an arm")
 
-    monkeypatch.setattr(cli, "run_complete", broken)
+    monkeypatch.setattr(cli, "_fit", broken)
     with pytest.raises(TypeError):
         run(*sweep_args(truth, mask, tmp_path, "2"))
 
@@ -744,10 +749,43 @@ def test_sweep_rejects_bad_values(small_problem, tmp_path):
     truth, mask = small_problem
     out = tmp_path / "run"
     out.mkdir()
-    assert run(*sweep_args(truth, mask, out, ",")) == 1
-    assert run(*sweep_args(truth, mask, out, "2,x")) == 1
-    assert run(*sweep_args(truth, mask, out, "2,2")) == 1
+    for values in (",", "2,x", "2,2", "2,,3", "2,"):
+        assert run(*sweep_args(truth, mask, out, values)) == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [("--reg", "fixed"),
+                                   ("--data-path", "missing.csv")],
+                         ids=["fixed-without-path", "missing-data"])
+def test_sweep_input_error_shared_by_all_arms_exits_one(
+        small_problem, tmp_path, monkeypatch, capsys, extra):
+    truth, mask = small_problem
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    assert run(*sweep_args(truth, mask, out, "2,3"), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "parallel"])
+def test_sweep_arms_match_standalone_runs(small_problem, tmp_path,
+                                          monkeypatch, threads):
+    # every arm draws its model from its own copy of the model rng, so it
+    # matches a lone run with the same flags
+    truth, mask = small_problem
+    sweep = tmp_path / "sweep"
+    if threads:
+        monkeypatch.setenv("AIR_THREADS", threads)
+    assert run(*sweep_args(truth, mask, sweep, "2,3")) == 0
+    for depth in (2, 3):
+        alone = tmp_path / f"alone{depth}"
+        flags = sweep_args(truth, mask, alone, "2,3")[5:]  # past --values
+        assert run("complete", *flags, "--depth", depth) == 0
+        for name in ("trace", "report", "recovered"):
+            ext = ".json" if name == "report" else ".csv"
+            assert ((sweep / f"{name}_depth{depth}{ext}").read_bytes()
+                    == (alone / f"{name}{ext}").read_bytes())
 
 
 def test_sweep_rejects_a_non_integer_thread_count(small_problem, tmp_path,
