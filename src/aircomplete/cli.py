@@ -156,6 +156,8 @@ def _validate_config(cfg: dict):
         if val not in allowed:
             raise InvalidInput(f"{path} must be one of {allowed}, "
                                f"got {val!r}")
+    if cfg["model"]["depth"] < 2:
+        raise InvalidInput("model depth must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +249,11 @@ def _build_mask(cfg: dict, rng, shape) -> SamplingMask:
                          thickness=mk["thickness"])
 
 
-def _recovered_path(cfg: dict, is_image: bool) -> str:
-    """The recovered file's name; its extension sets the format."""
-    path = cfg["outputs"]["recovered_path"]
-    if path is None:
-        return "recovered.pgm" if is_image else "recovered.csv"
-    if _is_pgm(path) and not is_image:
-        raise InvalidInput(f"recovered path {path} is a PGM image, but the "
-                           "data is not an image")
-    return path
-
-
 def _write_outputs(cfg: dict, out_dir, X, trace, prep):
-    truth, is_image, mask = prep[:3]
+    truth, recovered, mask = prep[:3]
     outs = cfg["outputs"]
     trace_path = _resolve(out_dir, outs["trace_csv"])
-    rec_path = _resolve(out_dir, _recovered_path(cfg, is_image))
+    rec_path = _resolve(out_dir, outs["recovered_path"] or recovered)
     report_path = _resolve(out_dir, outs["report_path"])
 
     mse_obs, mse_unobs, nmae = trainer.metrics(X, truth, mask)
@@ -285,12 +276,18 @@ def _write_outputs(cfg: dict, out_dir, X, trace, prep):
 
 def _prepare(cfg: dict):
     """Validate cfg and build a run's inputs up to its model: (truth,
-    is_image, mask, train config, penalty, model rng). Every input error
-    that does not depend on the model is raised here."""
+    recovered path, mask, train config, penalty, model rng). Every input
+    error that does not depend on the model is raised here."""
     _validate_config(cfg)
     rng = make_rng(cfg["seed"])
     truth, is_image = _build_data(cfg, rng)
-    _recovered_path(cfg, is_image)  # reject a PGM path for other data
+    # the recovered file's name; its extension sets the format
+    recovered = cfg["outputs"]["recovered_path"]
+    if recovered is None:
+        recovered = "recovered.pgm" if is_image else "recovered.csv"
+    elif _is_pgm(recovered) and not is_image:
+        raise InvalidInput(f"recovered path {recovered} is a PGM image, but "
+                           "the data is not an image")
     mask = _build_mask(cfg, rng, truth.full.shape)
     model_rng = rng if cfg["model_seed"] is None else make_rng(cfg["model_seed"])
 
@@ -338,7 +335,7 @@ def _prepare(cfg: dict):
         lambda_mode=lambda_mode, lambda_row=lam_r, lambda_col=lam_c,
         log_every=cfg["log_every"],
         track_singular_values=cfg["track_singular_values"])
-    return truth, is_image, mask, tcfg, penalty, model_rng
+    return truth, recovered, mask, tcfg, penalty, model_rng
 
 
 def _fit(cfg: dict, out_dir, prep) -> dict:
@@ -376,7 +373,6 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
     if len(set(values)) != len(values):
         raise InvalidInput(f"sweep values must be distinct, got {values}")
     prep = _prepare(cfg)
-    recovered = _recovered_path(cfg, prep[1])
     try:
         workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
     except ValueError:
@@ -389,7 +385,7 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
         sub = copy.deepcopy(cfg)
         sub["model"][axis] = v
         # each arm writes its own files, the default recovered one included
-        sub["outputs"]["recovered_path"] = recovered
+        sub["outputs"]["recovered_path"] = prep[1]
         for key in ("trace_csv", "recovered_path", "report_path"):
             p = sub["outputs"][key]
             if p:

@@ -714,7 +714,8 @@ def test_sweep_records_failures_and_continues(small_problem, tmp_path):
     out.mkdir()
     assert run(*sweep_args(truth, mask, out, "1,2")) == 0
     lines = (out / "sweep_summary.csv").read_text().splitlines()
-    assert lines[1].startswith("1,") and "failed: InvalidInput" in lines[1]
+    assert lines[1] == ("1,nan,nan,nan,0,,failed: InvalidInput: "
+                        "model depth must be at least 2")
     assert lines[2].startswith("2,") and lines[2].endswith(",ok")
 
 
@@ -755,8 +756,10 @@ def test_sweep_rejects_bad_values(small_problem, tmp_path):
 
 
 @pytest.mark.parametrize("extra", [("--reg", "fixed"),
-                                   ("--data-path", "missing.csv")],
-                         ids=["fixed-without-path", "missing-data"])
+                                   ("--data-path", "missing.csv"),
+                                   ("--axis", "width", "--depth", 1)],
+                         ids=["fixed-without-path", "missing-data",
+                              "width-at-depth-1"])
 def test_sweep_input_error_shared_by_all_arms_exits_one(
         small_problem, tmp_path, monkeypatch, capsys, extra):
     truth, mask = small_problem
@@ -765,6 +768,19 @@ def test_sweep_input_error_shared_by_all_arms_exits_one(
     assert run(*sweep_args(truth, mask, out, "2,3"), *extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["dmf", "knn", "svd"])
+def test_baseline_depth_1_exits_one(small_problem, tmp_path, capsys, method):
+    # knn and svd build no model, but check the config as every run does
+    truth, mask = small_problem
+    out = tmp_path / "run"
+    assert run("baseline", "--method", method, "--data-path", truth,
+               "--mask-kind", "file", "--mask-path", mask, "--depth", 1,
+               "--out-dir", out) == 1
+    assert capsys.readouterr().err == (
+        "error: model depth must be at least 2\n")
     assert not out.exists()
 
 
