@@ -41,6 +41,10 @@ __all__ = [
 
 _PARAMETERIZATIONS = ("product_form", "sum_form")
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # exp overflows above this
+# rows per block of the graph sweep. One AIR step at the MovieLens-100K
+# shape timed alike on one BLAS thread with 64 to 256 rows (see CHANGES.md);
+# each block's scratch arrays are _GRAPH_BLOCK x m
+_GRAPH_BLOCK = 128
 
 
 @dataclass
@@ -72,31 +76,50 @@ class LaplacianPair:
     L: np.ndarray
 
 
-def _normalized_exp(W: np.ndarray) -> tuple[np.ndarray, float]:
-    """(E, log S) with E = exp(W)/S and S = sum(exp(W)), both formed from
-    exp(W - max W), so neither overflows however large W grows."""
+def _row_blocks(m: int) -> list[slice]:
+    return [slice(i, min(i + _GRAPH_BLOCK, m))
+            for i in range(0, m, _GRAPH_BLOCK)]
+
+
+def _exp_scale(W: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(c, s, tail) with c = max W and s = sum(exp(W - c)), summed over
+    row blocks, so that E = exp(W - c)/s and log S = c + log s never
+    overflow however large W grows; tail is exp(W - c) on the last block,
+    for a sweep to reuse."""
     c = float(W.max())
-    E = np.subtract(W, c)
+    s = 0.0
+    for blk in _row_blocks(W.shape[0]):
+        tail = np.subtract(W[blk], c)
+        np.exp(tail, out=tail)
+        s += float(tail.sum())
+    return c, s, tail
+
+
+def _normalized_exp(W: np.ndarray, c: float, s: float,
+                    rows=slice(None)) -> np.ndarray:
+    """Rows `rows` of E = exp(W)/S, formed as exp(W - c)/s."""
+    E = np.subtract(W[rows], c)
     np.exp(E, out=E)
-    s = float(E.sum())
     E /= s
-    return E, c + math.log(s)
+    return E
 
 
-def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
-    """(A, E) for the current W, with E = exp(W)/S, in the log domain.
+def _adjacency_rows(p: RegParam, c: float, s: float,
+                    rows=slice(None)) -> np.ndarray:
+    """Rows `rows` of A for the current W, given (c, s) = _exp_scale(W).
 
-    The product form is A = exp(W + W^T - log S), exponentiated in place
-    in its one m x m buffer, and raises NumericOverflow only when an
-    entry of A itself is beyond float64. Every exponent is at most
-    2 max W - log S <= log S, so it is scanned only when S overflows.
-    The sum form, E + E^T, cannot overflow.
+    The product form is A = exp(W + W^T - log S), exponentiated in place,
+    and raises NumericOverflow only when an entry of A itself is beyond
+    float64. Every exponent is at most 2 max W - log S <= log S, so it is
+    scanned only when S overflows. The sum form, E + E^T, cannot
+    overflow.
     """
     W = p.W
-    E, log_s = _normalized_exp(W)
     if p.parameterization == "sum_form":
-        return E.T + E, E
-    A = np.add(W, W.T)
+        return (_normalized_exp(W.T, c, s, rows)
+                + _normalized_exp(W, c, s, rows))
+    log_s = c + math.log(s)
+    A = np.add(W[rows], W.T[rows])
     A -= log_s
     if log_s > _LOG_MAX:
         top = A.max()
@@ -104,21 +127,30 @@ def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
             raise NumericOverflow(f"adjacency entry exp({top:.4g}) is "
                                   "beyond the float64 range")
     np.exp(A, out=A)
-    return A, E
+    return A
 
 
-def _laplacian(A: np.ndarray, out=None) -> np.ndarray:
-    """diag(A 1) - A, written into `out` when given (A itself is allowed);
-    bit-identical to forming the diagonal matrix and subtracting A."""
+def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
+    """(A, E) for the current W, with E = exp(W)/S."""
+    c, s, _ = _exp_scale(p.W)
+    return _adjacency_rows(p, c, s), _normalized_exp(p.W, c, s)
+
+
+def _laplacian(A: np.ndarray, out=None, first: int = 0) -> np.ndarray:
+    """diag(A 1) - A for the rows of A from row `first` on, written into
+    `out` when given (A itself is allowed); bit-identical to forming the
+    diagonal matrix and subtracting A."""
     deg = A.sum(axis=1)
     L = np.negative(A, out=out)
-    L.flat[::L.shape[0] + 1] += deg
+    L.flat[first::L.shape[1] + 1] += deg
     return L
 
 
 def build_laplacian(p: RegParam) -> LaplacianPair:
-    """Adjacency and Laplacian for the current W."""
-    A, _ = _adjacency(p)
+    """Adjacency and Laplacian for the current W; each row block of L has
+    the bits of the one reg_value_and_grad forms."""
+    c, s, _ = _exp_scale(p.W)
+    A = _adjacency_rows(p, c, s)
     return LaplacianPair(A, _laplacian(A))
 
 
@@ -138,15 +170,15 @@ def dirichlet_energy(L, M) -> float:
     return float(np.vdot(M, L @ M))
 
 
-def _sq_distances(M: np.ndarray) -> np.ndarray:
-    """K with K_ij = ||M_i - M_j||^2 = d_i + d_j - 2 (M M^T)_ij, where
-    d = diag(M M^T), formed in place on the Gram matrix."""
-    K = M @ M.T
-    d = K.diagonal().copy()  # diagonal() is a view of K
-    K *= -2.0
-    K += d[:, None]
-    K += d
-    return K
+def _sq_distances(K: np.ndarray, d: np.ndarray, rows=slice(None)):
+    """Rows `rows` of the Gram matrix K = M M^T, turned in place into
+    K_ij = ||M_i - M_j||^2 = d_i + d_j - 2 (M M^T)_ij with d = diag(M M^T)
+    (a copy: diagonal() is a view of K); returns those rows, a view."""
+    Kb = K[rows]
+    Kb *= -2.0
+    Kb += d[rows, None]
+    Kb += d
+    return Kb
 
 
 def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
@@ -155,12 +187,38 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     Split out so flow simulations over a frozen M can skip recomputing K
     every step. Returns (value, gradient, E) with E = exp(W)/S.
     """
-    E, _ = _normalized_exp(W)
+    c, s, _ = _exp_scale(W)
+    E = _normalized_exp(W, c, s)
     R = float((K * E).sum())
     return R, K * E - R * E, E
 
 
-def reg_value_and_grad(p: RegParam, M, *, laplacian: bool = False):
+def _add_laplacian_rows(out, blk: slice, L_blk, M, lam: float) -> np.ndarray:
+    """Rows blk of L M, from the same rows of the symmetric L; with lam
+    nonzero, 2 lam times them is added into out[blk]."""
+    if L_blk.shape[0] == L_blk.shape[1] and M.flags.f_contiguous:
+        # all of L, and M is X^T: X L skips BLAS's slower transposed
+        # operand, which costs a 100 x 100 step about 3% of its graph time
+        LM = (M.T @ L_blk).T
+    else:
+        LM = L_blk @ M
+    if lam != 0.0:
+        out[blk] += (2.0 * lam) * LM
+    return LM
+
+
+def _fixed_graph_term(L, M, lam: float, out) -> float:
+    """tr(M^T L M) for a given L, adding 2 lam L M into out in the row
+    blocks of reg_value_and_grad, so that the two add the same bits."""
+    R = 0.0
+    for blk in _row_blocks(L.shape[0]):
+        R += float(np.vdot(M[blk], _add_laplacian_rows(out, blk, L[blk], M,
+                                                       lam)))
+    return R
+
+
+def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
+                       grad: bool = True, laplacian: bool = False):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -176,43 +234,69 @@ def reg_value_and_grad(p: RegParam, M, *, laplacian: bool = False):
     (o is the elementwise product). Both match finite differences of
     the energy; see the module docstring.
 
-    Returns (R, dR/dW). With laplacian=True the Laplacian of the same
-    adjacency comes third, bit-identical to build_laplacian(p).L, so a
-    training step exponentiates W once.
+    A, E and L exist one block of _GRAPH_BLOCK rows at a time. The Gram
+    matrix M M^T is formed whole (numpy runs a symmetric rank-k update)
+    and becomes dR/dW in place: a first pass over the blocks gives S, a
+    second turns each block into K, adds its share of R and writes K o A
+    (sum form: K o E), and a last subtracts R E.
+
+    Returns (R, dR/dW), or (R, None) with grad=False. With lam nonzero and
+    `out` an array whose rows match M's (out.T for M = X^T), the second
+    pass also adds 2 lam L M, the gradient in M of lam R, into `out`.
+    With laplacian=True the whole Laplacian comes third, bit-identical to
+    build_laplacian(p).L.
     """
     M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
-    K = _sq_distances(M)
-    A, E = _adjacency(p)
-    # products are formed in place: at 1682 rows each m x m array is 23 MB
-    if p.parameterization == "sum_form":
-        R = float(np.vdot(K, E))
-        K *= E
-    else:
-        R = 0.5 * float(np.vdot(K, A))
-        K *= A
-    E *= R
-    K -= E
-    if laplacian:
-        return R, K, _laplacian(A, out=A)
-    return R, K
+    W = p.W
+    sum_form = p.parameterization == "sum_form"
+    c, s, tail = _exp_scale(W)
+    K = M @ M.T
+    d = K.diagonal().copy()
+    L = np.empty_like(K) if laplacian else None
+    add = out is not None and lam != 0.0
+    R = 0.0
+    blocks = _row_blocks(p.dim)
+    for blk in blocks:
+        A = _adjacency_rows(p, c, s, blk)
+        Kb = _sq_distances(K, d, blk)  # K[blk], to become the gradient
+        F = _normalized_exp(W, c, s, blk) if sum_form else A
+        R += float(np.vdot(Kb, F))
+        if grad:
+            Kb *= F
+        if add or laplacian:
+            L_blk = _laplacian(A, out=A if L is None else L[blk],
+                               first=blk.start)
+            if add:
+                _add_laplacian_rows(out, blk, L_blk, M, lam)
+    if not sum_form:
+        R *= 0.5
+    if grad:
+        tail /= s  # the last block's E, from the first pass's exponentials
+        for blk in blocks:
+            E = tail if blk is blocks[-1] else _normalized_exp(W, c, s, blk)
+            E *= R
+            K[blk] -= E
+    result = (R, K if grad else None)
+    return result + (L,) if laplacian else result
 
 
 def grad_wrt_X(Lr, Lc, X, lam_r: float, lam_c: float) -> np.ndarray:
-    """Gradient of lam_r tr(X^T Lr X) + lam_c tr(X Lc X^T) in X."""
+    """Gradient of lam_r tr(X^T Lr X) + lam_c tr(X Lc X^T) in X, summed in
+    the row blocks of a training step."""
     X = as_matrix(X, "X")
     out = np.zeros_like(X)
     if lam_r != 0.0:
         Lr = as_matrix(Lr, "Lr")
         if Lr.shape != (X.shape[0], X.shape[0]):
             raise InvalidInput(f"Lr shape {Lr.shape} vs X rows {X.shape[0]}")
-        out += 2.0 * lam_r * (Lr @ X)
+        _fixed_graph_term(Lr, X, lam_r, out)
     if lam_c != 0.0:
         Lc = as_matrix(Lc, "Lc")
         if Lc.shape != (X.shape[1], X.shape[1]):
             raise InvalidInput(f"Lc shape {Lc.shape} vs X cols {X.shape[1]}")
-        out += 2.0 * lam_c * (X @ Lc)
+        _fixed_graph_term(Lc, X.T, lam_c, out.T)
     return out
 
 

@@ -49,6 +49,12 @@ class FixedLaplacians:
                 raise InvalidInput(f"{name} rows do not sum to zero")
             object.__setattr__(self, name, L)
 
+    def check_shape(self, m: int, n: int):
+        """Raise InvalidInput unless the graphs fit an m x n matrix."""
+        if self.L_r.shape != (m, m) or self.L_c.shape != (n, n):
+            raise InvalidInput(f"Laplacian shapes {self.L_r.shape}/"
+                               f"{self.L_c.shape} vs matrix {(m, n)}")
+
     @classmethod
     def from_state(cls, state):
         """Snapshot the Laplacians a trainer.ModelState currently encodes."""

@@ -317,6 +317,7 @@ def _prepare(cfg: dict):
             if not isinstance(laps[key], np.ndarray):
                 raise InvalidInput(f"{path} member {key!r} is not an array")
         penalty = FixedLaplacians(laps["L_r"], laps["L_c"])
+        penalty.check_shape(*truth.full.shape)
 
     opt = cfg["optimizer"]
     stop = cfg["stopping"]
@@ -370,9 +371,12 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
                            f"got {axis!r}")
     if not values:
         raise InvalidInput("sweep values must be nonempty")
+    prep = _prepare(cfg)
+    if axis == "width":
+        # width 0 is min(rows, cols), so 0 and that width are one model
+        values = [v or min(prep[0].full.shape) for v in values]
     if len(set(values)) != len(values):
         raise InvalidInput(f"sweep values must be distinct, got {values}")
-    prep = _prepare(cfg)
     try:
         workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
     except ValueError:
@@ -491,9 +495,9 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
 
         partials = []
         X = trainer.forward(chain, partials)
-        _, _, Gx, w_grads = strategy.compute(X)
         G = lift(apply_mask(X, mask) - y, mask)
-        ana = trainer._gradients(chain, partials, G, Gx, w_grads)
+        _, _, G, w_grads = strategy.compute(X, G)
+        ana = trainer._gradients(chain, partials, G, w_grads)
         check(f"objective {label}", ana, [
             finite_difference_grad(lambda Z, p=p: objective(Z, p), p)
             for p in chain.factors + list(strategy.w_params)])

@@ -95,8 +95,8 @@ def _descend(chain, strategy, Y, lr, steps):
         yield it, X
         if it == steps:
             return
-        _, _, Gx, w_grads = strategy.compute(X)
-        grads = _gradients(chain, partials, X - Y, Gx, w_grads)
+        _, _, G, w_grads = strategy.compute(X, X - Y)
+        grads = _gradients(chain, partials, G, w_grads)
         for p, g in zip(params, grads):
             p -= lr * g
 
@@ -265,7 +265,8 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
     S2set = set(S2)
     S1 = [(k, l) for k in range(m) for l in range(k + 1, m)
           if (k, l) not in S2set]
-    K = _sq_distances(M)
+    K = M @ M.T
+    _sq_distances(K, K.diagonal().copy())
 
     p = RegParam(np.full((m, m), float(eps_init)), "sum_form")
     W = p.W  # updated in place, so p follows the flow

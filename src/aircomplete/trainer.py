@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .air_reg import RegParam, grad_wrt_X, reg_value_and_grad
+from .air_reg import RegParam, _fixed_graph_term, reg_value_and_grad
 from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
 from .dmf import FactorChain, factor_grads_from_full, forward
@@ -283,14 +283,16 @@ class GradientDescent:
 # regularizer strategies for the shared loop
 
 class _NoReg:
-    """The zero penalty, and the base of the others. compute(X) gives
-    (Rr, Rc, dPenalty/dX or None, gradients of w_params); values(X) gives
-    (Rr, Rc) alone, for the last trace row."""
+    """The zero penalty, and the base of the others. compute(X, G) gives
+    (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into G in
+    place (into a new zero array when G is None; _NoReg adds nothing and
+    hands G back); values(X) gives (Rr, Rc) alone, for the last trace
+    row."""
 
     w_params = ()
 
-    def compute(self, X):
-        return 0.0, 0.0, None, ()
+    def compute(self, X, G=None):
+        return 0.0, 0.0, G, ()
 
     def values(self, X):
         return self.compute(X)[:2]
@@ -305,18 +307,19 @@ class _AdaptiveReg(_NoReg):
         self.lam_c = lam_c
         self.w_params = (reg_row.W, reg_col.W)
 
-    def compute(self, X):
-        Rr, gWr, Lr = reg_value_and_grad(self.reg_row, X, laplacian=True)
-        Rc, gWc, Lc = reg_value_and_grad(self.reg_col, X.T, laplacian=True)
-        Gx = grad_wrt_X(Lr, Lc, X, self.lam_r, self.lam_c)
+    def compute(self, X, G=None):
+        G = np.zeros_like(X) if G is None else G
+        Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G)
+        Rc, gWc = reg_value_and_grad(self.reg_col, X.T, lam=self.lam_c,
+                                     out=G.T)
         gWr *= self.lam_r
         gWc *= self.lam_c
-        return Rr, Rc, Gx, (gWr, gWc)
+        return Rr, Rc, G, (gWr, gWc)
 
     def values(self, X):
-        # compute()'s energies by the same formula, without L or the X-gradient
-        return (reg_value_and_grad(self.reg_row, X)[0],
-                reg_value_and_grad(self.reg_col, X.T)[0])
+        # compute()'s energies by the same sweep, without any gradient
+        return (reg_value_and_grad(self.reg_row, X, grad=False)[0],
+                reg_value_and_grad(self.reg_col, X.T, grad=False)[0])
 
 
 class _FrozenReg(_NoReg):
@@ -326,16 +329,12 @@ class _FrozenReg(_NoReg):
         self.lam_r = lam_r
         self.lam_c = lam_c
 
-    def compute(self, X):
-        LrX = self.Lr @ X
-        XLc = X @ self.Lc
-        # summed in grad_wrt_X's order, so Gx has its bits
-        Gx = np.zeros_like(X)
-        if self.lam_r != 0.0:
-            Gx += 2.0 * self.lam_r * LrX
-        if self.lam_c != 0.0:
-            Gx += 2.0 * self.lam_c * XLc
-        return float(np.vdot(X, LrX)), float(np.vdot(X, XLc)), Gx, ()
+    def compute(self, X, G=None):
+        # the adaptive arm's row blocks, so given its L the bits are its own
+        G = np.zeros_like(X) if G is None else G
+        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G)
+        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T)
+        return Rr, Rc, G, ()
 
 
 class _TvReg(_NoReg):
@@ -345,20 +344,18 @@ class _TvReg(_NoReg):
         self.cfg = cfg
         self.lam = lam
 
-    def compute(self, X):
+    def compute(self, X, G=None):
+        G = np.zeros_like(X) if G is None else G
         value, grad = tv_value_and_grad(X, self.cfg)
-        return value, 0.0, self.lam * grad, ()
+        G += self.lam * grad
+        return value, 0.0, G, ()
 
 
-def _gradients(chain: FactorChain, partials, G, Gx, w_grads) -> list:
-    """Gradients of the factors, then w_grads: G is the lifted residual,
-    to which the penalty's X-gradient Gx (None without one) is added in
-    place, and partials are the forward pass's."""
-    if Gx is not None:
-        G += Gx
-    grads = factor_grads_from_full(chain, G, partials)
-    grads.extend(w_grads)
-    return grads
+def _gradients(chain: FactorChain, partials, G, w_grads) -> list:
+    """Gradients of the factors, then w_grads: G is the lifted residual
+    with the penalty's X-gradient added (by strategy.compute), and
+    partials are the forward pass's."""
+    return factor_grads_from_full(chain, G, partials) + list(w_grads)
 
 
 # a diverging run overflows in many places; the loop checks X, the
@@ -382,10 +379,8 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     """
     chain = state.chain
     m, n = chain.shape
-    if isinstance(penalty, FixedLaplacians) and (
-            penalty.L_r.shape != (m, m) or penalty.L_c.shape != (n, n)):
-        raise InvalidInput(f"Laplacian shapes {penalty.L_r.shape}/"
-                           f"{penalty.L_c.shape} vs model {(m, n)}")
+    if isinstance(penalty, FixedLaplacians):
+        penalty.check_shape(m, n)
     if cfg.lambda_mode == "paper_auto":
         lam_r, lam_c = auto_lambda(y_obs, m, n)
     else:
@@ -460,7 +455,8 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
             if last:
                 Rr, Rc = strategy.values(X)
             else:
-                Rr, Rc, Gx, w_grads = strategy.compute(X)
+                # the X-gradient is added into the lifted residual
+                Rr, Rc, G, w_grads = strategy.compute(X, lift(diff, mask))
         except NumericOverflow as err:
             raise failed(NumericOverflow(
                 f"{err} at iteration {it + 1}")) from err
@@ -485,14 +481,17 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
         if last:
             break
 
-        grads = _gradients(chain, partials, lift(diff, mask), Gx, w_grads)
+        # free X before the factor gradients allocate their products, G
+        # before the update, and the rest before the next pass
+        del X
+        grads = _gradients(chain, partials, G, w_grads)
+        del G
         opt.step(grads)
         for j, p in enumerate(params):
             if not np.isfinite(p).all():
                 what = f"factor {j}" if j < n_fac else "graph parameter"
                 raise failed(DivergenceError(it + 1, what))
-        # free this pass's arrays before the next pass allocates its own
-        del X, partials, diff, Gx, grads, w_grads
+        del partials, diff, grads, w_grads
 
     trace.stop_reason = stop_reason
     return state, trace

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from aircomplete import air_reg
 from aircomplete.air_reg import RegParam, build_laplacian
 from aircomplete.baselines import (FixedLaplacians, TvConfig, knn_impute,
                                    svd_impute, tv_value_and_grad)
@@ -264,6 +265,14 @@ def test_fixed_snapshot_at_start_matches_adaptive_first_step():
     train(frozen, mask, y, cfg, penalty=snapshot)
     for a, b in zip(adaptive.chain.factors, frozen.chain.factors):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_fixed_snapshot_matches_adaptive_step_over_several_blocks(
+        monkeypatch, rows):
+    # both arms run the same L M products on the same row blocks
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", rows)
+    test_fixed_snapshot_at_start_matches_adaptive_first_step()
 
 
 def test_fixed_shape_mismatch_rejected():

@@ -771,6 +771,36 @@ def test_sweep_input_error_shared_by_all_arms_exits_one(
     assert not out.exists()
 
 
+def test_fixed_path_of_the_wrong_shape_exits_one(small_problem, tmp_path,
+                                                capsys):
+    # checked against the data before any directory exists, by a lone
+    # run and by a sweep alike
+    truth, mask = small_problem
+    lap = tmp_path / "laps.npz"
+    np.savez(lap, L_r=np.zeros((5, 5)), L_c=np.zeros((10, 10)))
+    out = tmp_path / "run"
+    for argv in (complete_args(truth, mask, out),
+                 sweep_args(truth, mask, out, "2,3")):
+        assert run(*argv, "--reg", "fixed", "--fixed-path", lap) == 1
+        assert capsys.readouterr().err == ("error: Laplacian shapes (5, 5)/"
+                                           "(10, 10) vs matrix (12, 10)\n")
+        assert not out.exists()
+
+
+def test_sweep_width_0_is_the_full_width(small_problem, tmp_path, capsys):
+    truth, mask = small_problem
+    out = tmp_path / "run"
+    width = ("--axis", "width")
+    # 0 stands for min(12, 10) = 10, so these two arms are one model
+    assert run(*sweep_args(truth, mask, out, "0,10"), *width) == 1
+    assert "must be distinct, got [10, 10]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*sweep_args(truth, mask, out, "0,5"), *width) == 0
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines] == ["width", "10", "5"]
+    assert (out / "trace_width10.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["dmf", "knn", "svd"])
 def test_baseline_depth_1_exits_one(small_problem, tmp_path, capsys, method):
     # knn and svd build no model, but check the config as every run does
@@ -826,18 +856,22 @@ def test_verify_gradcheck_passes(capsys):
 def scale_w_grads_twice(monkeypatch):
     compute = trainer._AdaptiveReg.compute
 
-    def twice(self, X):
-        Rr, Rc, Gx, (gWr, gWc) = compute(self, X)
-        return Rr, Rc, Gx, (self.lam_r * gWr, self.lam_c * gWc)
+    def twice(self, X, G=None):
+        Rr, Rc, G, (gWr, gWc) = compute(self, X, G)
+        return Rr, Rc, G, (self.lam_r * gWr, self.lam_c * gWc)
 
     monkeypatch.setattr(trainer._AdaptiveReg, "compute", twice)
 
 
 def drop_gx(monkeypatch):
-    gradients = trainer._gradients
-    monkeypatch.setattr(trainer, "_gradients",
-                        lambda chain, partials, G, Gx, w_grads:
-                        gradients(chain, partials, G, None, w_grads))
+    compute = trainer._AdaptiveReg.compute
+
+    def into_scratch(self, X, G=None):
+        # the X-gradient goes into a buffer of its own, not into G
+        Rr, Rc, _, w_grads = compute(self, X)
+        return Rr, Rc, G, w_grads
+
+    monkeypatch.setattr(trainer._AdaptiveReg, "compute", into_scratch)
 
 
 @pytest.mark.parametrize("fault", [scale_w_grads_twice, drop_gx])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aircomplete import air_reg
 from aircomplete.air_reg import (RegParam, build_laplacian, dirichlet_energy,
                                  grad_wrt_X, reg_value_and_grad)
 from aircomplete.baselines import FixedLaplacians
@@ -12,7 +13,7 @@ from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask, lift)
 from aircomplete.dmf import FactorChain, forward, initialize
-from aircomplete.errors import DivergenceError, InvalidInput
+from aircomplete.errors import DivergenceError, InvalidInput, NumericOverflow
 from aircomplete.mat_core import gaussian_matrix, make_rng
 from aircomplete import trainer as trainer_mod
 from aircomplete.trainer import (Adam, MetricTrace, ModelState, TrainConfig,
@@ -281,6 +282,86 @@ def test_fused_graph_step_matches_separate_terms():
             # the step's Laplacian is the one build_laplacian gives
             _, _, Lr = reg_value_and_grad(state.reg_row, X, laplacian=True)
             assert np.array_equal(Lr, build_laplacian(state.reg_row).L)
+
+
+# blocks of 2 and 3 rows do not divide 7 or 5, so the last block is short
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("form", ["product_form", "sum_form"])
+def test_graph_sweep_over_several_blocks_matches_separate_terms(
+        monkeypatch, rows, form):
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", rows)
+    lam_r, lam_c = 0.3, 0.7
+    for seed in range(3):
+        state = small_state(m=7, n=5, seed=seed, form=form)
+        state.reg_row.W *= 300.0
+        state.reg_col.W *= 300.0
+        rng = make_rng(60 + seed)
+        X = rng.standard_normal((7, 5))
+        G0 = rng.standard_normal((7, 5))
+        G = G0.copy()
+        Rr, Rc, out, (gWr, gWc) = trainer_mod._AdaptiveReg(
+            state.reg_row, state.reg_col, lam_r, lam_c).compute(X, G)
+        assert out is G
+        Rr0, gWr0, Lr0 = separate_graph_terms(state.reg_row, X)
+        Rc0, gWc0, Lc0 = separate_graph_terms(state.reg_col, X.T)
+        assert Rr == pytest.approx(Rr0, rel=1e-12)
+        assert Rc == pytest.approx(Rc0, rel=1e-12)
+        assert close(gWr, lam_r * gWr0) and close(gWc, lam_c * gWc0)
+        assert close(G - G0, 2 * lam_r * Lr0 @ X + 2 * lam_c * X @ Lc0)
+        _, _, Lr = reg_value_and_grad(state.reg_row, X, laplacian=True)
+        assert np.array_equal(Lr, build_laplacian(state.reg_row).L)
+        # a zero weight adds nothing, and the value-only sweep gives the
+        # step's energy to the bit
+        H = G0.copy()
+        R, _ = reg_value_and_grad(state.reg_row, X, lam=0.0, out=H)
+        assert np.array_equal(H, G0)
+        assert R == Rr == reg_value_and_grad(state.reg_row, X,
+                                             grad=False)[0]
+        trainer_mod._FrozenReg(Lr0, Lc0, 0.0, lam_c).compute(X, H)
+        assert close(H - G0, 2 * lam_c * X @ Lc0)
+
+
+def test_adjacency_overflow_is_raised_from_a_later_block(monkeypatch):
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 2)
+    W = np.zeros((7, 7))
+    # log S is about 720 + log 2, so only A_56 = exp(720 - log 2) overflows
+    W[5, 6] = W[6, 5] = 720.0
+    X = make_rng(3).standard_normal((7, 4))
+    G = np.zeros((7, 4))
+    with pytest.raises(NumericOverflow):
+        reg_value_and_grad(RegParam(W), X, lam=1.0, out=G)
+    # rows 0-3 were swept before the block holding row 5 raised
+    assert np.abs(G[:4]).min() > 0 and not G[4:].any()
+    with pytest.raises(NumericOverflow):
+        build_laplacian(RegParam(W))
+    assert np.isfinite(reg_value_and_grad(RegParam(W, "sum_form"), X)[1]).all()
+
+
+@pytest.mark.parametrize("m, n", [(400, 300), (300, 400)])
+def test_adaptive_step_holds_one_graph_sized_array_per_graph(monkeypatch,
+                                                             m, n):
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 16)
+    rng = make_rng(32)
+    reg = trainer_mod._AdaptiveReg(
+        RegParam(gaussian_matrix(rng, m, m, variance=1e-5)),
+        RegParam(gaussian_matrix(rng, n, n, variance=1e-5)), 0.3, 0.7)
+    X = rng.standard_normal((m, n))
+    G = np.zeros((m, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reg.compute(X, G)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the row graph's W-gradient is alive while the column graph's Gram
+    # turns into its own; besides those two come a few blocks of 16 rows
+    # and the finiteness scan of X (2.28 MB in all). A step holding K, A
+    # and E of a graph whole peaks at 5.9 MB here
+    assert peak < 8 * (m * m + n * n) + 0.5e6
 
 
 def test_frozen_step_matches_separate_terms():
