@@ -116,8 +116,11 @@ def _adjacency_rows(p: RegParam, c: float, s: float,
     """
     W = p.W
     if p.parameterization == "sum_form":
-        return (_normalized_exp(W.T, c, s, rows)
-                + _normalized_exp(W, c, s, rows))
+        # summed into E's rows: A is C-ordered at every size, so its degrees
+        # sum in one order (E^T + E can return the column-major E^T block)
+        A = _normalized_exp(W, c, s, rows)
+        A += _normalized_exp(W.T, c, s, rows)
+        return A
     log_s = c + math.log(s)
     A = np.add(W[rows], W.T[rows])
     A -= log_s
@@ -128,12 +131,6 @@ def _adjacency_rows(p: RegParam, c: float, s: float,
                                   "beyond the float64 range")
     np.exp(A, out=A)
     return A
-
-
-def _adjacency(p: RegParam) -> tuple[np.ndarray, np.ndarray]:
-    """(A, E) for the current W, with E = exp(W)/S."""
-    c, s, _ = _exp_scale(p.W)
-    return _adjacency_rows(p, c, s), _normalized_exp(p.W, c, s)
 
 
 def _laplacian(A: np.ndarray, out=None, first: int = 0) -> np.ndarray:
@@ -185,12 +182,14 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     """Sum-form energy and W-gradient with the distance matrix K fixed.
 
     Split out so flow simulations over a frozen M can skip recomputing K
-    every step. Returns (value, gradient, E) with E = exp(W)/S.
+    every step. Returns (value, gradient); E = exp(W)/S is formed as
+    exp(W - max W) over its sum, one exponential per entry.
     """
-    c, s, _ = _exp_scale(W)
-    E = _normalized_exp(W, c, s)
-    R = float((K * E).sum())
-    return R, K * E - R * E, E
+    E = np.exp(W - W.max())
+    E /= E.sum()
+    KE = K * E
+    R = float(KE.sum())
+    return R, KE - R * E
 
 
 def _add_laplacian_rows(out, blk: slice, L_blk, M, lam: float) -> np.ndarray:
@@ -218,7 +217,7 @@ def _fixed_graph_term(L, M, lam: float, out) -> float:
 
 
 def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
-                       grad: bool = True, laplacian: bool = False):
+                       grad: bool = True):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -243,8 +242,6 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     Returns (R, dR/dW), or (R, None) with grad=False. With lam nonzero and
     `out` an array whose rows match M's (out.T for M = X^T), the second
     pass also adds 2 lam L M, the gradient in M of lam R, into `out`.
-    With laplacian=True the whole Laplacian comes third, bit-identical to
-    build_laplacian(p).L.
     """
     M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
@@ -254,7 +251,6 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     c, s, tail = _exp_scale(W)
     K = M @ M.T
     d = K.diagonal().copy()
-    L = np.empty_like(K) if laplacian else None
     add = out is not None and lam != 0.0
     R = 0.0
     blocks = _row_blocks(p.dim)
@@ -265,11 +261,9 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
         R += float(np.vdot(Kb, F))
         if grad:
             Kb *= F
-        if add or laplacian:
-            L_blk = _laplacian(A, out=A if L is None else L[blk],
-                               first=blk.start)
-            if add:
-                _add_laplacian_rows(out, blk, L_blk, M, lam)
+        if add:
+            L_blk = _laplacian(A, out=A, first=blk.start)
+            _add_laplacian_rows(out, blk, L_blk, M, lam)
     if not sum_form:
         R *= 0.5
     if grad:
@@ -278,8 +272,7 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
             E = tail if blk is blocks[-1] else _normalized_exp(W, c, s, blk)
             E *= R
             K[blk] -= E
-    result = (R, K if grad else None)
-    return result + (L,) if laplacian else result
+    return R, (K if grad else None)
 
 
 def grad_wrt_X(Lr, Lc, X, lam_r: float, lam_c: float) -> np.ndarray:

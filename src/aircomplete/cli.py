@@ -31,7 +31,7 @@ from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
 from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
                        gen_lowrank, generate_mask, lift, read_mask_pgm,
                        read_pgm, write_mask_pgm, write_pgm)
-from .dmf import initialize
+from .dmf import factor_grads_from_full, initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
 from .mat_core import finite_difference_grad, gaussian_matrix, make_rng
@@ -485,22 +485,26 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
                   ("tv", trainer._TvReg(tvc, lam_r)),
                   ("none", trainer._NoReg())]
     for label, strategy in penalties:
-        def objective(Z, p, strategy=strategy):
+        def objective(Z, p, fidelity, strategy=strategy):
             saved, p[...] = p.copy(), Z  # p restored before returning
             X = trainer.forward(chain)
             d = apply_mask(X, mask) - y
             Rr, Rc = strategy.values(X)  # Rc is 0 for tv and none
             p[...] = saved
-            return 0.5 * float(d @ d) + lam_r * Rr + lam_c * Rc
+            fid = 0.5 * float(d @ d) if fidelity else 0.0
+            return fid + lam_r * Rr + lam_c * Rc
 
         partials = []
         X = trainer.forward(chain, partials)
         G = lift(apply_mask(X, mask) - y, mask)
         _, _, G, w_grads = strategy.compute(X, G)
-        ana = trainer._gradients(chain, partials, G, w_grads)
+        ana = factor_grads_from_full(chain, G, partials) + list(w_grads)
+        # graph-parameter entries are differenced on the penalty alone: the
+        # fidelity does not depend on them, and its roundoff would dominate
         check(f"objective {label}", ana, [
-            finite_difference_grad(lambda Z, p=p: objective(Z, p), p)
-            for p in chain.factors + list(strategy.w_params)])
+            finite_difference_grad(
+                lambda Z, p=p, fid=j < chain.depth: objective(Z, p, fid), p)
+            for j, p in enumerate(chain.factors + list(strategy.w_params))])
     lines.append(f"gradcheck worst: {worst:.3e} (pass bound 1e-5)")
     return worst < 1e-5, lines
 

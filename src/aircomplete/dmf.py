@@ -80,7 +80,7 @@ def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
 
 
 def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
-                           partials: Optional[list] = None) -> list[np.ndarray]:
+                           partials: list) -> list[np.ndarray]:
     """Chain-rule gradients of sum(G * X) w.r.t. each factor, X the product.
 
     For m <= n the gradient of factor l is suf(l+1)^T T(l), with
@@ -89,14 +89,10 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
     transposed chain (see `_walk`). `partials` are the partial products
     that `forward(chain, partials)` appended; they must come from the
     same factors, not yet updated. Each is popped once used, so the list
-    is empty afterwards. With None they are built here (L - 2 products).
-    The pass costs 2L - 2 products and returns C-contiguous gradients.
+    is empty afterwards. The pass costs 2L - 2 products and returns
+    C-contiguous gradients.
     """
     facs, mul = _walk(chain)
-    if partials is None:
-        partials = [facs[-1]]
-        for W in reversed(facs[1:-1]):
-            partials.append(mul(partials[-1], W))
     grads = []
     T = G
     for W in facs[:-1]:
@@ -130,6 +126,8 @@ def initialize(m: int, n: int, L: int, r: Optional[int] = None,
         construction. If seed_matrix is None a standard normal seed is
         drawn from rng.
     """
+    if m < 1 or n < 1:
+        raise InvalidInput(f"matrix dimensions must be positive, got {m}x{n}")
     if L < 2:
         raise InvalidInput(f"depth must be >= 2, got {L}")
     if r is None:

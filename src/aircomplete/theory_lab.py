@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import air_reg
 from .air_reg import (RegParam, _sq_distances, _sum_value_grad_from_K,
                       build_laplacian, decay_constant, identical_row_pairs,
                       limit_laplacian)
-from .dmf import balance_residuals, forward, initialize
+from .dmf import (balance_residuals, factor_grads_from_full, forward,
+                  initialize)
 from .errors import DivergenceError, InvalidInput
 from .mat_core import as_matrix, gaussian_matrix
-from .trainer import _AdaptiveReg, _NoReg, _gradients
+from .trainer import _AdaptiveReg, _NoReg
 
 __all__ = ["FlowReport", "verify_theorem1", "verify_theorem2",
            "verify_balance"]
@@ -96,7 +96,7 @@ def _descend(chain, strategy, Y, lr, steps):
         if it == steps:
             return
         _, _, G, w_grads = strategy.compute(X, X - Y)
-        grads = _gradients(chain, partials, G, w_grads)
+        grads = factor_grads_from_full(chain, G, partials) + list(w_grads)
         for p, g in zip(params, grads):
             p -= lr * g
 
@@ -135,6 +135,9 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
     come within 1e-9 are skipped (vectors ill-defined).
     """
     check_every, top_k, window = 10, 3, (10, 100)
+    if min(m, n) < top_k:
+        raise InvalidInput(f"thm1 tracks the top {top_k} singular values and "
+                           f"needs {top_k} rows and columns, got {m}x{n}")
     if not 0 < lr <= 1e-4:
         raise InvalidInput(f"flow discretization needs 0 < lr <= 1e-4, "
                            f"got {lr}")
@@ -281,10 +284,10 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
                  "sym_residual", "bound"))
 
     def inspect(it):
-        A, E = air_reg._adjacency(p)
-        Lt = air_reg._laplacian(A)
-        R = float((K * E).sum())
-        err_limit = float(np.max(np.abs(np.abs(Lt) - np.abs(Lstar))))
+        lap = build_laplacian(p)
+        A = lap.A
+        R, _ = _sum_value_grad_from_K(K, W)
+        err_limit = float(np.max(np.abs(np.abs(lap.L) - np.abs(Lstar))))
         e2 = max((abs(A[k, l] - gamma) for k, l in S2), default=0.0) / gamma
         e1 = max((abs(A[k, l]) for k, l in S1), default=0.0) / gamma
         sym = float(np.abs(W - W.T).max())
@@ -292,10 +295,10 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
         bound = 2 * m * (m - 1) * np.exp(-D * t) / gamma
         report.add_row((t, R, err_limit, e2, e1, sym, bound))
 
-    R0, _, _ = _sum_value_grad_from_K(K, W)
+    R0, _ = _sum_value_grad_from_K(K, W)
     next_mark = 0
     for it in range(1, steps + 1):
-        _, G, _ = _sum_value_grad_from_K(K, W)
+        _, G = _sum_value_grad_from_K(K, W)
         W -= lr * G
         if next_mark < len(marks) and it == marks[next_mark]:
             if not np.isfinite(W).all():

@@ -285,17 +285,16 @@ class GradientDescent:
 class _NoReg:
     """The zero penalty, and the base of the others. compute(X, G) gives
     (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into G in
-    place (into a new zero array when G is None; _NoReg adds nothing and
-    hands G back); values(X) gives (Rr, Rc) alone, for the last trace
-    row."""
+    place (_NoReg adds nothing and hands G back); values(X) gives
+    (Rr, Rc) alone, for the last trace row."""
 
     w_params = ()
 
-    def compute(self, X, G=None):
+    def compute(self, X, G):
         return 0.0, 0.0, G, ()
 
     def values(self, X):
-        return self.compute(X)[:2]
+        return self.compute(X, np.zeros_like(X))[:2]
 
 
 class _AdaptiveReg(_NoReg):
@@ -307,8 +306,7 @@ class _AdaptiveReg(_NoReg):
         self.lam_c = lam_c
         self.w_params = (reg_row.W, reg_col.W)
 
-    def compute(self, X, G=None):
-        G = np.zeros_like(X) if G is None else G
+    def compute(self, X, G):
         Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G)
         Rc, gWc = reg_value_and_grad(self.reg_col, X.T, lam=self.lam_c,
                                      out=G.T)
@@ -329,9 +327,8 @@ class _FrozenReg(_NoReg):
         self.lam_r = lam_r
         self.lam_c = lam_c
 
-    def compute(self, X, G=None):
+    def compute(self, X, G):
         # the adaptive arm's row blocks, so given its L the bits are its own
-        G = np.zeros_like(X) if G is None else G
         Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G)
         Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T)
         return Rr, Rc, G, ()
@@ -344,18 +341,10 @@ class _TvReg(_NoReg):
         self.cfg = cfg
         self.lam = lam
 
-    def compute(self, X, G=None):
-        G = np.zeros_like(X) if G is None else G
+    def compute(self, X, G):
         value, grad = tv_value_and_grad(X, self.cfg)
         G += self.lam * grad
         return value, 0.0, G, ()
-
-
-def _gradients(chain: FactorChain, partials, G, w_grads) -> list:
-    """Gradients of the factors, then w_grads: G is the lifted residual
-    with the penalty's X-gradient added (by strategy.compute), and
-    partials are the forward pass's."""
-    return factor_grads_from_full(chain, G, partials) + list(w_grads)
 
 
 # a diverging run overflows in many places; the loop checks X, the
@@ -484,7 +473,7 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
         # free X before the factor gradients allocate their products, G
         # before the update, and the rest before the next pass
         del X
-        grads = _gradients(chain, partials, G, w_grads)
+        grads = factor_grads_from_full(chain, G, partials) + list(w_grads)
         del G
         opt.step(grads)
         for j, p in enumerate(params):

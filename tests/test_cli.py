@@ -856,7 +856,7 @@ def test_verify_gradcheck_passes(capsys):
 def scale_w_grads_twice(monkeypatch):
     compute = trainer._AdaptiveReg.compute
 
-    def twice(self, X, G=None):
+    def twice(self, X, G):
         Rr, Rc, G, (gWr, gWc) = compute(self, X, G)
         return Rr, Rc, G, (self.lam_r * gWr, self.lam_c * gWc)
 
@@ -866,9 +866,9 @@ def scale_w_grads_twice(monkeypatch):
 def drop_gx(monkeypatch):
     compute = trainer._AdaptiveReg.compute
 
-    def into_scratch(self, X, G=None):
+    def into_scratch(self, X, G):
         # the X-gradient goes into a buffer of its own, not into G
-        Rr, Rc, _, w_grads = compute(self, X)
+        Rr, Rc, _, w_grads = compute(self, X, np.zeros_like(X))
         return Rr, Rc, G, w_grads
 
     monkeypatch.setattr(trainer._AdaptiveReg, "compute", into_scratch)
@@ -884,6 +884,17 @@ def test_gradcheck_catches_a_faulty_step_gradient(monkeypatch, fault):
     assert not ok
     assert any(ln.startswith("gradcheck objective air")
                and float(ln.split()[-1]) > 1e-2 for ln in lines)
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+def test_gradcheck_air_lines_measure_the_w_gradient(seed):
+    # W entries are differenced on the penalty alone; on the whole
+    # objective the fidelity's roundoff read 1e-7 to 2.5e-6 here
+    ok, lines = cli._gradcheck(seed)
+    assert ok
+    air = [ln for ln in lines if ln.startswith("gradcheck objective air")]
+    assert len(air) == 2
+    assert all(float(ln.split()[-1]) < 1e-8 for ln in air)
 
 
 def test_verify_thm1_passes_and_writes_report(tmp_path, capsys):
@@ -902,7 +913,8 @@ def test_verify_thm1_rejects_coarse_step():
 
 @pytest.mark.parametrize("kind,flag,value", [
     ("thm2", "--steps", 0), ("balance", "--steps", -1), ("thm2", "--lr", 0),
-    ("thm1", "--lr", 0), ("balance", "--lr", 0)])
+    ("thm1", "--lr", 0), ("balance", "--lr", 0), ("thm1", "--rows", 2),
+    ("thm1", "--cols", 2), ("balance", "--rows", 0)])
 def test_verify_rejects_a_flow_it_cannot_integrate(capsys, kind, flag,
                                                    value):
     with warnings.catch_warnings():

@@ -20,8 +20,9 @@ def half_sq_error(chain, mask, y):
 def fidelity_grad(chain, mask, y):
     # the fidelity's factor gradients as the trainer forms them: the
     # lifted residual through factor_grads_from_full
-    G = lift(apply_mask(forward(chain), mask) - y, mask)
-    return factor_grads_from_full(chain, G)
+    partials = []
+    G = lift(apply_mask(forward(chain, partials), mask) - y, mask)
+    return factor_grads_from_full(chain, G, partials)
 
 
 def fd_factor_grads(chain, mask, y, h=1e-5):
@@ -117,14 +118,13 @@ def quadratic_factor_grads(chain, G):
     return grads
 
 
-def one_pass(chain, G, use_partials):
-    # forward product and factor gradients, the backward pass either
-    # reusing the forward's partial products or building its own
-    partials = [] if use_partials else None
+def one_pass(chain, G):
+    # forward product and factor gradients, the backward pass reusing the
+    # forward's partial products
+    partials = []
     X = forward(chain, partials)
     grads = factor_grads_from_full(chain, G, partials)
-    if use_partials:
-        assert partials == []
+    assert partials == []
     return X, grads
 
 
@@ -141,13 +141,11 @@ def test_factor_grads_match_quadratic_reference():
                                variance=0.5)
             G = rng.standard_normal(shape)
             ref = quadratic_factor_grads(chain, G)
-            for use_partials in (False, True):
-                _, fast = one_pass(chain, G, use_partials)
-                assert ([g.shape for g in fast]
-                        == [W.shape for W in chain.factors])
-                for a, b in zip(fast, ref):
-                    assert a.flags.c_contiguous
-                    assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+            _, fast = one_pass(chain, G)
+            assert [g.shape for g in fast] == [W.shape for W in chain.factors]
+            for a, b in zip(fast, ref):
+                assert a.flags.c_contiguous
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_forward_with_partials_keeps_its_bits():
@@ -156,7 +154,7 @@ def test_forward_with_partials_keeps_its_bits():
             rng = make_rng(L)
             chain = initialize(*shape, L, scheme="gaussian", rng=rng,
                                variance=0.5)
-            X, _ = one_pass(chain, rng.standard_normal(shape), True)
+            X, _ = one_pass(chain, rng.standard_normal(shape))
             assert np.array_equal(X, forward(chain))
             assert X.flags.c_contiguous
 
@@ -183,7 +181,7 @@ def test_forward_and_backward_make_3L_minus_3_products():
             chain = FactorChain([W.view(CountingArray) for W in chain.factors])
             G = rng.standard_normal(shape).view(CountingArray)
             CountingArray.products = 0
-            one_pass(chain, G, True)
+            one_pass(chain, G)
             assert CountingArray.products == 3 * L - 3
 
 
@@ -193,18 +191,16 @@ def test_factor_grads_peak_allocation_at_depth_8():
                        variance=0.1)
     G = make_rng(6).standard_normal((120, 120))
     factor_bytes = chain.factors[0].nbytes
-    for use_partials in (False, True):
-        partials = [] if use_partials else None
-        forward(chain, partials)
-        tracemalloc.start()
-        try:
-            grads = factor_grads_from_full(chain, G, partials)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(grads) == L
-        assert peak <= (L + 2) * factor_bytes
-        del grads
+    partials = []
+    forward(chain, partials)
+    tracemalloc.start()
+    try:
+        grads = factor_grads_from_full(chain, G, partials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == L
+    assert peak <= (L + 2) * factor_bytes
 
 
 def test_initialize_shapes_and_default_width():
@@ -242,6 +238,9 @@ def test_initialize_validation():
         initialize(4, 4, 1, scheme="gaussian", rng=make_rng(0))
     with pytest.raises(InvalidInput):
         initialize(4, 4, 3, scheme="mystery", rng=make_rng(0))
+    # an empty matrix is named as such, not as a width of 0
+    with pytest.raises(InvalidInput, match="dimensions must be positive"):
+        initialize(0, 4, 3, scheme="gaussian", rng=make_rng(0))
 
 
 def test_balance_conserved_under_fidelity_descent():

@@ -8,8 +8,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from aircomplete.air_reg import (_LOG_MAX, RegParam, _adjacency,  # noqa: E402
-                                 reg_value_and_grad)
+from aircomplete.air_reg import (_LOG_MAX, RegParam,  # noqa: E402
+                                 _adjacency_rows, _exp_scale,
+                                 _normalized_exp, reg_value_and_grad)
 from aircomplete.cli import default_config, load_config  # noqa: E402
 from aircomplete.data_lab import read_pgm, write_pgm  # noqa: E402
 from aircomplete.errors import (InvalidInput, NumericOverflow,  # noqa: E402
@@ -64,6 +65,12 @@ def test_w_gradient_matches_central_differences(inputs):
     assert np.abs(G - num).max() / np.abs(num).max() < 1e-5
 
 
+def adjacency(p):
+    # (A, E) as the graph sweep forms them, with E = exp(W)/S
+    c, s, _ = _exp_scale(p.W)
+    return _adjacency_rows(p, c, s), _normalized_exp(p.W, c, s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_inputs(), st.floats(-1e4, 1e4))
 def test_constant_shift_of_w(inputs, c):
@@ -72,10 +79,10 @@ def test_constant_shift_of_w(inputs, c):
     max). The tolerance is 1e-12 relative plus the rounding of W + c."""
     p, _ = inputs
     tol = 1e-12 + 4 * np.finfo(float).eps * abs(c)
-    A0, E0 = _adjacency(p)
+    A0, E0 = adjacency(p)
     shifted = RegParam(p.W + c, p.parameterization)
     if p.parameterization == "sum_form":
-        A1, E1 = _adjacency(shifted)
+        A1, E1 = adjacency(shifted)
         assert np.allclose(A1, A0, rtol=tol, atol=0)
         assert np.allclose(E1, E0, rtol=tol, atol=0)
         return
@@ -83,9 +90,9 @@ def test_constant_shift_of_w(inputs, c):
     assume(abs(log_a.max() - _LOG_MAX) > tol)
     if log_a.max() > _LOG_MAX:
         with pytest.raises(NumericOverflow):
-            _adjacency(shifted)
+            adjacency(shifted)
         return
-    A1, E1 = _adjacency(shifted)
+    A1, E1 = adjacency(shifted)
     assert np.allclose(E1, E0, rtol=tol, atol=0)
     normal = log_a > np.log(np.finfo(float).tiny)
     assert np.allclose(np.log(A1[normal]), log_a[normal],
