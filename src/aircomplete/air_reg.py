@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericOverflow
-from .mat_core import as_matrix
+from .mat_core import _PLAN, _both, _halfway, as_matrix
 
 __all__ = [
     "RegParam", "LaplacianPair",
@@ -81,6 +81,15 @@ def _row_blocks(m: int) -> list[slice]:
             for i in range(0, m, _GRAPH_BLOCK)]
 
 
+def _split_sweep(fn, blocks: list[slice]) -> list:
+    """[fn(blk) for blk in blocks], with the blocks of the second half of
+    the rows on the worker; fn must write only rows blk."""
+    k = _halfway([blk.stop - blk.start for blk in blocks])
+    first, second = _both(lambda: [fn(blk) for blk in blocks[:k]],
+                          lambda: [fn(blk) for blk in blocks[k:]])
+    return first + second
+
+
 def _exp_scale(W: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(c, s, tail) with c = max W and s = sum(exp(W - c)), summed over
     row blocks, so that E = exp(W - c)/s and log S = c + log s never
@@ -97,16 +106,19 @@ def _exp_scale(W: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 def _normalized_exp(W: np.ndarray, c: float, s: float,
                     rows=slice(None)) -> np.ndarray:
-    """Rows `rows` of E = exp(W)/S, formed as exp(W - c)/s."""
-    E = np.subtract(W[rows], c)
+    """Rows `rows` of E = exp(W)/S, formed as exp(W - c)/s; C-ordered also
+    for a transposed W."""
+    Wr = W[rows]
+    E = np.subtract(Wr, c, out=np.empty(Wr.shape))
     np.exp(E, out=E)
     E /= s
     return E
 
 
-def _adjacency_rows(p: RegParam, c: float, s: float,
-                    rows=slice(None)) -> np.ndarray:
-    """Rows `rows` of A for the current W, given (c, s) = _exp_scale(W).
+def _adjacency_rows(p: RegParam, c: float, s: float, rows=slice(None),
+                    E=None) -> np.ndarray:
+    """Rows `rows` of A for the current W, given (c, s) = _exp_scale(W)
+    and, in the sum form, optionally the same rows of E.
 
     The product form is A = exp(W + W^T - log S), exponentiated in place,
     and raises NumericOverflow only when an entry of A itself is beyond
@@ -116,10 +128,11 @@ def _adjacency_rows(p: RegParam, c: float, s: float,
     """
     W = p.W
     if p.parameterization == "sum_form":
-        # summed into E's rows: A is C-ordered at every size, so its degrees
-        # sum in one order (E^T + E can return the column-major E^T block)
-        A = _normalized_exp(W, c, s, rows)
-        A += _normalized_exp(W.T, c, s, rows)
+        # E's rows summed into E^T's, which are C-ordered, so A's degrees sum
+        # in one order at every size; addition commutes, so the bits are
+        # those of E + E^T
+        A = _normalized_exp(W.T, c, s, rows)
+        A += _normalized_exp(W, c, s, rows) if E is None else E
         return A
     log_s = c + math.log(s)
     A = np.add(W[rows], W.T[rows])
@@ -192,18 +205,13 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     return R, KE - R * E
 
 
-def _add_laplacian_rows(out, blk: slice, L_blk, M, lam: float) -> np.ndarray:
-    """Rows blk of L M, from the same rows of the symmetric L; with lam
-    nonzero, 2 lam times them is added into out[blk]."""
+def _laplacian_rows(L_blk, M) -> np.ndarray:
+    """Rows of L M, from the same rows of the symmetric L."""
     if L_blk.shape[0] == L_blk.shape[1] and M.flags.f_contiguous:
         # all of L, and M is X^T: X L skips BLAS's slower transposed
         # operand, which costs a 100 x 100 step about 3% of its graph time
-        LM = (M.T @ L_blk).T
-    else:
-        LM = L_blk @ M
-    if lam != 0.0:
-        out[blk] += (2.0 * lam) * LM
-    return LM
+        return (M.T @ L_blk).T
+    return L_blk @ M
 
 
 def _fixed_graph_term(L, M, lam: float, out) -> float:
@@ -211,8 +219,11 @@ def _fixed_graph_term(L, M, lam: float, out) -> float:
     blocks of reg_value_and_grad, so that the two add the same bits."""
     R = 0.0
     for blk in _row_blocks(L.shape[0]):
-        R += float(np.vdot(M[blk], _add_laplacian_rows(out, blk, L[blk], M,
-                                                       lam)))
+        LM = _laplacian_rows(L[blk], M)
+        R += float(np.vdot(M[blk], LM))
+        if lam != 0.0:
+            LM *= 2.0 * lam  # in place, not into a copy
+            out[blk] += LM
     return R
 
 
@@ -237,7 +248,11 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     matrix M M^T is formed whole (numpy runs a symmetric rank-k update)
     and becomes dR/dW in place: a first pass over the blocks gives S, a
     second turns each block into K, adds its share of R and writes K o A
-    (sum form: K o E), and a last subtracts R E.
+    (sum form: K o E), and a last subtracts R E. Under a training plan
+    with graphs split (see mat_core._both) the first pass runs on the
+    worker while the Gram is formed, and the other two hand the second
+    half of the rows to the worker; R is summed over blocks in block
+    order either way, so the bits do not depend on the split.
 
     Returns (R, dR/dW), or (R, None) with grad=False. With lam nonzero and
     `out` an array whose rows match M's (out.T for M = X^T), the second
@@ -248,30 +263,51 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
     W = p.W
     sum_form = p.parameterization == "sum_form"
-    c, s, tail = _exp_scale(W)
-    K = M @ M.T
+    blocks = _row_blocks(p.dim)
+    split = _PLAN.get().graphs and len(blocks) > 1
+    if split:
+        K, (c, s, tail) = _both(lambda: M @ M.T, lambda: _exp_scale(W))
+    else:
+        c, s, tail = _exp_scale(W)
+        K = M @ M.T
     d = K.diagonal().copy()
     add = out is not None and lam != 0.0
-    R = 0.0
-    blocks = _row_blocks(p.dim)
-    for blk in blocks:
-        A = _adjacency_rows(p, c, s, blk)
+
+    def energy_rows(blk):
+        F = _normalized_exp(W, c, s, blk) if sum_form else None
+        A = _adjacency_rows(p, c, s, blk, F)
         Kb = _sq_distances(K, d, blk)  # K[blk], to become the gradient
-        F = _normalized_exp(W, c, s, blk) if sum_form else A
-        R += float(np.vdot(Kb, F))
+        if F is None:
+            F = A
+        r = float(np.vdot(Kb, F))
         if grad:
             Kb *= F
         if add:
-            L_blk = _laplacian(A, out=A, first=blk.start)
-            _add_laplacian_rows(out, blk, L_blk, M, lam)
+            LM = _laplacian_rows(_laplacian(A, out=A, first=blk.start), M)
+            LM *= 2.0 * lam
+            out[blk] += LM
+        return r
+
+    parts = (_split_sweep(energy_rows, blocks) if split
+             else map(energy_rows, blocks))
+    R = 0.0
+    for r in parts:
+        R += r  # in block order; sum() may compensate on newer Pythons
     if not sum_form:
         R *= 0.5
     if grad:
         tail /= s  # the last block's E, from the first pass's exponentials
-        for blk in blocks:
+
+        def subtract_rows(blk):
             E = tail if blk is blocks[-1] else _normalized_exp(W, c, s, blk)
             E *= R
             K[blk] -= E
+
+        if split:
+            _split_sweep(subtract_rows, blocks)
+        else:
+            for blk in blocks:
+                subtract_rows(blk)
     return R, (K if grad else None)
 
 

@@ -355,8 +355,7 @@ def _fit(cfg: dict, out_dir, prep) -> dict:
         os.makedirs(out_dir, exist_ok=True)
     _, trace = train(state, mask, apply_mask(truth.full, mask), tcfg, truth,
                      penalty=penalty)
-    return _write_outputs(cfg, out_dir, trainer.forward(state.chain), trace,
-                          prep)
+    return _write_outputs(cfg, out_dir, trace.X, trace, prep)
 
 
 def run_complete(cfg: dict, out_dir: str | None = None) -> dict:

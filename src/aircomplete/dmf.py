@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .mat_core import gaussian_matrix, svd
+from .mat_core import _PLAN, _both, gaussian_matrix, svd
 
 __all__ = ["FactorChain", "forward", "initialize", "balance_residuals"]
 
@@ -41,8 +41,8 @@ class FactorChain:
         return self.factors[-1].shape[0], self.factors[0].shape[1]
 
 
-def _rmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return b @ a
+def _rmatmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    return np.matmul(b, a, out=out)
 
 
 def _walk(chain: FactorChain):
@@ -90,14 +90,24 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
     that `forward(chain, partials)` appended; they must come from the
     same factors, not yet updated. Each is popped once used, so the list
     is empty afterwards. The pass costs 2L - 2 products and returns
-    C-contiguous gradients.
+    C-contiguous gradients. Under a training plan with pairs (see
+    mat_core._both) each gradient is formed on the worker, into an array
+    allocated here, while the next T is formed here.
     """
     facs, mul = _walk(chain)
+    pairs = _PLAN.get().pairs
     grads = []
     T = G
     for W in facs[:-1]:
-        grads.append(mul(partials.pop().T, T))
-        T = mul(T, W.T)
+        P = partials.pop()
+        if pairs:
+            grad = np.empty(W.shape)  # each gradient has its factor's shape
+            T, _ = _both(lambda: mul(T, W.T),
+                         lambda: mul(P.T, T, out=grad))
+            grads.append(grad)
+        else:
+            grads.append(mul(P.T, T))
+            T = mul(T, W.T)
     grads.append(T)
     if facs is not chain.factors:
         grads.reverse()

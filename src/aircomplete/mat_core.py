@@ -1,4 +1,5 @@
-"""Input validation, SVD with a fixed sign convention, and seeded randomness.
+"""Input validation, SVD with a fixed sign convention, seeded randomness,
+and the two-way split of a training step.
 
 Matrices are numpy float64 arrays in C (row-major) order throughout the
 package. The random generator is PCG64, which produces identical streams
@@ -6,6 +7,9 @@ for identical seeds on every platform numpy supports.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -99,3 +103,59 @@ def finite_difference_grad(f, X, h: float = 1e-5) -> np.ndarray:
         Xm[idx] -= h
         G[idx] = (f(Xp) - f(Xm)) / (2.0 * h)
     return G
+
+
+# ---------------------------------------------------------------------------
+# two-way split of a training step
+
+class _Plan(NamedTuple):
+    """Which parts of a training step run in two halves (see _both)."""
+
+    graphs: bool = False  # the row blocks of a graph that spans several
+    pairs: bool = False   # factor-gradient pairs and the Adam update
+
+
+# the plan of the running `train` call, scoped like np.errstate; off
+# everywhere else
+_PLAN = contextvars.ContextVar("aircomplete_plan", default=_Plan())
+_POOL = None  # the one worker, started by the first split (main thread)
+
+
+@contextlib.contextmanager
+def _planned(plan: _Plan):
+    token = _PLAN.set(plan)
+    try:
+        yield
+    finally:
+        _PLAN.reset(token)
+
+
+def _both(f, g):
+    """(f(), g()), with g run on a one-worker pool while f runs here.
+
+    g runs in a copy of the caller's context, so it keeps np.errstate but
+    sees the plan off and never splits again. g's half is awaited before
+    this returns or raises; an error of f is raised before one of g, the
+    order a sequential f(); g() would give. The caller must not hand the
+    two halves overlapping outputs.
+    """
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=1,
+                                   thread_name_prefix="aircomplete")
+    ctx = contextvars.copy_context()
+    ctx.run(_PLAN.set, _Plan())
+    done = _POOL.submit(ctx.run, g)
+    try:
+        a = f()
+    except BaseException:
+        done.exception()  # waits for g, whose outcome is dropped
+        raise
+    return a, done.result()
+
+
+def _halfway(sizes) -> int:
+    """k, 0 < k < len(sizes), for which sum(sizes[:k]) and sum(sizes[k:])
+    are nearest."""
+    return min(range(1, len(sizes)),
+               key=lambda k: abs(sum(sizes[k:]) - sum(sizes[:k])))

@@ -21,6 +21,8 @@ the other exits.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,8 @@ from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
 from .dmf import FactorChain, factor_grads_from_full, forward
 from .errors import DivergenceError, InvalidInput, NumericOverflow
-from .mat_core import as_matrix, svd
+from .mat_core import (_PLAN, _Plan, _both, _halfway, _planned, as_matrix,
+                       svd)
 
 __all__ = [
     "TrainConfig", "ModelState", "MetricTrace",
@@ -104,7 +107,8 @@ class ModelState:
 class MetricTrace:
     """Checkpoint log. reg_r and reg_c are the lambda-scaled terms, so
     total = fid + reg_r + reg_c row by row. Unknown-truth runs carry nan
-    in the mse_unobs and nmae columns."""
+    in the mse_unobs and nmae columns. X is the product of the state
+    the last row evaluates, kept for the caller and not written."""
 
     _BASE_COLUMNS = ["iter", "total", "fid", "reg_r", "reg_c",
                      "mse_obs", "mse_unobs", "nmae"]
@@ -120,6 +124,7 @@ class MetricTrace:
     nmae: list = field(default_factory=list)
     sigma: list = field(default_factory=list)
     stop_reason: str = ""
+    X: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def append(self, it, total, fid, reg_r, reg_c, mse_obs,
                mse_unobs=None, nmae=None, sigma=()):
@@ -221,15 +226,30 @@ def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
     swept in blocks of whole rows of about _ADAM_BLOCK entries (views for
     any layout), through two scratch buffers of one block each, so every
     operand is read from cache after its first touch and no full-size
-    temporary is allocated.
+    temporary is allocated. Under a training plan with pairs (see
+    mat_core._both) the worker updates the parameters of the second half
+    of the entries.
     """
     if t < 1:
         raise InvalidInput("adam step count starts at 1")
     ms, vs = moments
+    c1 = 1.0 - cfg.beta1 ** t
+    c2 = 1.0 - cfg.beta2 ** t
+    items = list(zip(params, grads, ms, vs))
+    if _PLAN.get().pairs and len(items) > 1:
+        k = _halfway([p.size for p in params])
+        _both(lambda: _adam_update(items[:k], c1, c2, cfg),
+              lambda: _adam_update(items[k:], c1, c2, cfg))
+    else:
+        _adam_update(items, c1, c2, cfg)
+    return params, moments
+
+
+def _adam_update(items, c1: float, c2: float, cfg: TrainConfig):
+    """adam_step's update of each (p, g, m, v) in items, with the bias
+    corrections c1 and c2 of its step."""
     b1, b2 = cfg.beta1, cfg.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    for p_all, g_all, m_all, v_all in zip(params, grads, ms, vs):
+    for p_all, g_all, m_all, v_all in items:
         n_rows, cols = p_all.shape
         rows = max(1, _ADAM_BLOCK // cols)
         buf_a = np.empty(min(rows, n_rows) * cols)
@@ -253,7 +273,6 @@ def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
             a *= cfg.lr
             a /= b
             p -= a
-    return params, moments
 
 
 class Adam:
@@ -347,6 +366,34 @@ class _TvReg(_NoReg):
         return value, 0.0, G, ()
 
 
+# entries of X from which train's factor-gradient pairs and Adam update run
+# in two halves. In paired runs on one BLAS thread they cut that part of
+# the step to 0.55x at the MovieLens-100K shape (1.6M entries) and 0.62x
+# at 300 x 300 depth 8 while the second CPU was free, and cost 4-10% while
+# it was busy. The worker's own memory, a second BLAS buffer and malloc
+# arena, does not shrink with the model: it added 1.8 MB (2.8%) to a
+# 300 x 300 depth-8 run's peak of 65 MB, and 3.9 MB (1.3%) to 308 MB at
+# the MovieLens-100K shape
+_PAIR_MIN = 1 << 20
+
+
+def _two_way_plan(m: int, n: int) -> _Plan:
+    """The split of train's steps, fixed once per call. It is on only
+    where a second CPU would idle: the process may use two CPUs, BLAS is
+    pinned to one thread (a threaded BLAS already uses them) and this is
+    the main thread (the arms of an AIR_THREADS sweep already do). Then a
+    graph splits when it spans several row blocks, and the pairs from
+    _PAIR_MIN entries of X."""
+    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS"))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    if (blas != "1" or cpus < 2
+            or threading.current_thread() is not threading.main_thread()):
+        return _Plan()
+    return _Plan(graphs=True, pairs=m * n >= _PAIR_MIN)
+
+
 # a diverging run overflows in many places; the loop checks X, the
 # objective and every parameter itself and raises with the iteration
 @np.errstate(over="ignore", invalid="ignore")
@@ -364,7 +411,9 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
 
     Pass `it` evaluates the state after `it` updates once: its product,
     residual and energies feed the next update and, at a checkpoint, the
-    trace row for `it`. The last state is evaluated for its values only.
+    trace row for `it`. The last state is evaluated for its values only,
+    and its product is handed back as trace.X. Where a second CPU would
+    idle, the steps split two ways (see _two_way_plan) with the same bits.
     """
     chain = state.chain
     m, n = chain.shape
@@ -427,60 +476,62 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     prev_scaled = None
     streak = 0
     stop_reason = "max_iters"
-    for it in range(cfg.max_iters + 1):
-        partials = []
-        X = forward(chain, partials)
-        if not np.isfinite(X).all():
-            # factors can stay finite while their product overflows
-            raise failed(DivergenceError(it + 1, "estimate"))
-        diff = apply_mask(X, mask) - y
-        sq = float(diff @ diff)
-        last = it == cfg.max_iters
-        if (not last and cfg.stop_mse_obs is not None
-                and sq / n_obs < cfg.stop_mse_obs):
-            stop_reason = "mse_obs"
-            last = True
-        try:
-            if last:
-                Rr, Rc = strategy.values(X)
-            else:
-                # the X-gradient is added into the lifted residual
-                Rr, Rc, G, w_grads = strategy.compute(X, lift(diff, mask))
-        except NumericOverflow as err:
-            raise failed(NumericOverflow(
-                f"{err} at iteration {it + 1}")) from err
-        if not np.isfinite(sq + Rr + Rc):
-            # a finite estimate can still overflow its squared residual
-            raise failed(DivergenceError(it + 1, "objective"))
-        if it % cfg.log_every == 0 or last:
-            log(it, X, sq, Rr, Rc)
-        if it % cfg.log_every == 0 and it > 0 and reg_active:
-            scaled = (lam_r * Rr, lam_c * Rc)
-            if prev_scaled is not None:
-                dr = abs(scaled[0] - prev_scaled[0])
-                dc = abs(scaled[1] - prev_scaled[1])
-                if dr < delta and dc < delta and it > cfg.stop_warmup:
-                    streak += 1
+    with _planned(_two_way_plan(m, n)):
+        for it in range(cfg.max_iters + 1):
+            partials = []
+            X = forward(chain, partials)
+            if not np.isfinite(X).all():
+                # factors can stay finite while their product overflows
+                raise failed(DivergenceError(it + 1, "estimate"))
+            diff = apply_mask(X, mask) - y
+            sq = float(diff @ diff)
+            last = it == cfg.max_iters
+            if (not last and cfg.stop_mse_obs is not None
+                    and sq / n_obs < cfg.stop_mse_obs):
+                stop_reason = "mse_obs"
+                last = True
+            try:
+                if last:
+                    Rr, Rc = strategy.values(X)
                 else:
-                    streak = 0
-            prev_scaled = scaled
-            if streak >= cfg.stop_patience:
-                stop_reason = "reg_delta"
+                    # the X-gradient is added into the lifted residual
+                    Rr, Rc, G, w_grads = strategy.compute(X, lift(diff, mask))
+            except NumericOverflow as err:
+                raise failed(NumericOverflow(
+                    f"{err} at iteration {it + 1}")) from err
+            if not np.isfinite(sq + Rr + Rc):
+                # a finite estimate can still overflow its squared residual
+                raise failed(DivergenceError(it + 1, "objective"))
+            if it % cfg.log_every == 0 or last:
+                log(it, X, sq, Rr, Rc)
+            if it % cfg.log_every == 0 and it > 0 and reg_active:
+                scaled = (lam_r * Rr, lam_c * Rc)
+                if prev_scaled is not None:
+                    dr = abs(scaled[0] - prev_scaled[0])
+                    dc = abs(scaled[1] - prev_scaled[1])
+                    if dr < delta and dc < delta and it > cfg.stop_warmup:
+                        streak += 1
+                    else:
+                        streak = 0
+                prev_scaled = scaled
+                if streak >= cfg.stop_patience:
+                    stop_reason = "reg_delta"
+                    break
+            if last:
                 break
-        if last:
-            break
 
-        # free X before the factor gradients allocate their products, G
-        # before the update, and the rest before the next pass
-        del X
-        grads = factor_grads_from_full(chain, G, partials) + list(w_grads)
-        del G
-        opt.step(grads)
-        for j, p in enumerate(params):
-            if not np.isfinite(p).all():
-                what = f"factor {j}" if j < n_fac else "graph parameter"
-                raise failed(DivergenceError(it + 1, what))
-        del partials, diff, grads, w_grads
+            # free X before the factor gradients allocate their products, G
+            # before the update, and the rest before the next pass
+            del X
+            grads = factor_grads_from_full(chain, G, partials) + list(w_grads)
+            del G
+            opt.step(grads)
+            for j, p in enumerate(params):
+                if not np.isfinite(p).all():
+                    what = f"factor {j}" if j < n_fac else "graph parameter"
+                    raise failed(DivergenceError(it + 1, what))
+            del partials, diff, grads, w_grads
 
     trace.stop_reason = stop_reason
+    trace.X = X
     return state, trace

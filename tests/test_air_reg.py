@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aircomplete import air_reg
 from aircomplete.air_reg import (LaplacianPair, RegParam, build_laplacian,
                                  decay_constant, dirichlet_energy,
                                  grad_wrt_X, identical_row_pairs,
@@ -112,6 +113,28 @@ def test_adjacency_overflows_only_when_A_does():
             assert np.isfinite(adjacency(RegParam(W, "sum_form"))).all()
         for form in ("product_form", "sum_form"):
             assert np.isfinite(adjacency(RegParam(skew, form))).all()
+
+
+def test_sum_form_step_forms_each_block_of_E_once_per_pass(monkeypatch):
+    calls = []
+    real = air_reg._normalized_exp
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(air_reg, "_normalized_exp", counted)
+    rng = make_rng(9)
+    p = RegParam(gaussian_matrix(rng, 300, 300), "sum_form")
+    M = rng.standard_normal((300, 20))
+    reg_value_and_grad(p, M, lam=0.5, out=np.zeros((300, 20)))
+    # 3 blocks: rows of E and of E^T for each, then R E for all but the
+    # last, whose exponentials the first pass kept
+    assert len(calls) == 8
+    # A built from given rows of E has the bits of one that forms them
+    c, s, _ = air_reg._exp_scale(p.W)
+    assert np.array_equal(air_reg._adjacency_rows(p, c, s, E=real(p.W, c, s)),
+                          build_laplacian(p).A)
 
 
 # ---------------------------------------------------------------------------

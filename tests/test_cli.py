@@ -156,6 +156,65 @@ def test_one_thread_runs_write_identical_traces(small_problem, tmp_path):
     assert len(traces[0].splitlines()) > 2  # header and checkpoint rows
 
 
+def test_complete_forms_each_product_once(small_problem, tmp_path,
+                                         monkeypatch):
+    # the recovered matrix is the product train's last pass formed
+    truth, mask = small_problem
+    calls, states = [], []
+    forward, fit = trainer.forward, cli.train
+
+    def counted(chain, *args):
+        calls.append(1)
+        return forward(chain, *args)
+
+    def kept(state, *args, **kwargs):
+        states.append(state)
+        return fit(state, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward", counted)
+    monkeypatch.setattr(cli, "train", kept)
+    out = tmp_path / "run"
+    assert run(*complete_args(truth, mask, out, "--max-iters", 7)) == 0
+    assert len(calls) == 8
+    cli.write_matrix_csv(tmp_path / "product.csv", forward(states[0].chain))
+    assert ((out / "recovered.csv").read_bytes()
+            == (tmp_path / "product.csv").read_bytes())
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    # a child on one CPU takes the sequential path, one on two splits the
+    # step; each graph of 300 x 260 spans three row blocks
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("needs two CPUs")
+    src = os.path.dirname(os.path.dirname(aircomplete.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import os, sys\n"
+             "os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split()})\n"
+             "from aircomplete import cli, mat_core\n"
+             "rc = cli.main(sys.argv[2:])\n"
+             "print('split', mat_core._POOL is not None)\n"
+             "sys.exit(rc)\n")
+    runs = {}
+    for name, use in (("one", cpus[:1]), ("two", cpus[:2])):
+        out = tmp_path / name
+        argv = ["complete", "--data-kind", "lowrank", "--rows", "300",
+                "--cols", "260", "--rank", "4", "--missing", "0.7",
+                "--max-iters", "3", "--log-every", "1", "--stop-delta", "0",
+                "--track-sigmas", "2", "--out-dir", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-c", child, " ".join(map(str, use)), *argv],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        runs[name] = (done.stdout.splitlines()[-1],
+                      [(out / f).read_bytes() for f in
+                       ("trace.csv", "recovered.csv", "report.json")])
+    assert runs["one"][0] == "split False" and runs["two"][0] == "split True"
+    assert runs["one"][1] == runs["two"][1]
+
+
 def test_eval_reproduces_report_metrics(small_problem, tmp_path, capsys):
     truth, mask = small_problem
     out = tmp_path / "run"
@@ -949,3 +1008,43 @@ def test_verify_balance_passes(capsys):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# two-way split (the pool fixture counts the worker's tasks)
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """The machine the split is for: two CPUs and BLAS on one thread."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def lowrank_args(out_dir, rows, cols):
+    return ("--data-kind", "lowrank", "--rows", rows, "--cols", cols,
+            "--rank", 3, "--missing", 0.7, "--max-iters", 2,
+            "--out-dir", out_dir)
+
+
+def test_split_runs_only_for_a_large_model(two_cpus, pool, tmp_path):
+    assert run("complete", *lowrank_args(tmp_path / "small", 100, 100)) == 0
+    assert pool.submitted == 0
+    assert run("complete", *lowrank_args(tmp_path / "large", 260, 140)) == 0
+    assert pool.submitted > 0
+
+
+@pytest.mark.parametrize("kind", ["thm1", "balance", "gradcheck"])
+def test_verify_hands_nothing_to_the_worker(two_cpus, pool, kind, capsys):
+    assert run("verify", "--kind", kind) == 0
+    assert pool.submitted == 0
+
+
+def test_sweep_arms_on_threads_hand_nothing_to_the_worker(
+        two_cpus, pool, tmp_path, monkeypatch):
+    # each arm already has a CPU of its own
+    monkeypatch.setenv("AIR_THREADS", "2")
+    assert run("sweep", "--axis", "depth", "--values", "2,3",
+               *lowrank_args(tmp_path, 260, 140)) == 0
+    assert pool.submitted == 0
+    assert "ok" in (tmp_path / "sweep_summary.csv").read_text()

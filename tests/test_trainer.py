@@ -1,6 +1,10 @@
 """Objective assembly, optimizers, stopping rules, and trace logging."""
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   generate_mask, lift)
 from aircomplete.dmf import FactorChain, forward, initialize
 from aircomplete.errors import DivergenceError, InvalidInput, NumericOverflow
-from aircomplete.mat_core import gaussian_matrix, make_rng
+from aircomplete.mat_core import _planned, _Plan, gaussian_matrix, make_rng
 from aircomplete import trainer as trainer_mod
 from aircomplete.trainer import (Adam, MetricTrace, ModelState, TrainConfig,
                                  adam_step, auto_lambda, metrics, train)
@@ -667,6 +671,197 @@ def test_adaptive_regularizer_decreases_from_warm_start():
     assert all(v >= 0 for v in trace.reg_r + trace.reg_c)
     assert trace.reg_r[-1] < trace.reg_r[0]
     assert trace.reg_c[-1] < trace.reg_c[0]
+
+
+# ---------------------------------------------------------------------------
+# two-way split of the step (the pool fixture counts the worker's tasks)
+
+def test_plan_splits_only_where_a_second_cpu_would_idle(monkeypatch):
+    monkeypatch.setattr(trainer_mod.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    plan = trainer_mod._two_way_plan
+    assert plan(943, 1682) == _Plan()  # BLAS may already use the CPUs
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert plan(943, 1682) == _Plan(True, True)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP's
+    assert plan(943, 1682) == _Plan()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert plan(943, 1682) == _Plan(True, True)
+    # the pairs need a large X, graphs split by their own block count
+    assert plan(300, 300) == _Plan(graphs=True)
+    with ThreadPoolExecutor(max_workers=1) as other:
+        assert other.submit(plan, 943, 1682).result() == _Plan()
+    monkeypatch.setattr(trainer_mod.os, "sched_getaffinity",
+                        lambda pid: {0})
+    assert plan(943, 1682) == _Plan()
+
+
+def force_plan(monkeypatch, plan):
+    monkeypatch.setattr(trainer_mod, "_two_way_plan", lambda m, n: plan)
+
+
+def planned_run(monkeypatch, plan, m, n, form, penalty=None):
+    force_plan(monkeypatch, plan)
+    state = small_state(m, n, seed=5, variance=1e-2, form=form)
+    rng = make_rng(6)
+    gt = gen_lowrank(rng, m, n, 3)
+    mask = generate_mask(rng, m, n, "random", p=0.5)
+    cfg = TrainConfig(max_iters=4, log_every=1, stop_delta=0.0,
+                      track_singular_values=2)
+    if penalty == "frozen":
+        penalty = FixedLaplacians.from_state(state)
+    _, trace = train(state, mask, apply_mask(gt.full, mask), cfg, gt,
+                     penalty=penalty)
+    return trace, state
+
+
+# each graph spans two or three default blocks
+@pytest.mark.parametrize("m, n", [(260, 140), (140, 260)])
+@pytest.mark.parametrize("form", ["product_form", "sum_form"])
+def test_split_steps_keep_every_bit(monkeypatch, pool, m, n, form):
+    (t0, s0), (t1, s1) = [planned_run(monkeypatch, plan, m, n, form)
+                          for plan in (_Plan(), _Plan(True, True))]
+    assert pool.submitted > 0
+    assert t1.to_csv() == t0.to_csv() and np.array_equal(t1.X, t0.X)
+    for a, b in zip(s1.chain.factors + [s1.reg_row.W, s1.reg_col.W],
+                    s0.chain.factors + [s0.reg_row.W, s0.reg_col.W]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("form", ["product_form", "sum_form"])
+def test_split_adaptive_step_adds_the_frozen_steps_bits(pool, form):
+    rng = make_rng(72)
+    reg_row = RegParam(gaussian_matrix(rng, 260, 260), form)
+    reg_col = RegParam(gaussian_matrix(rng, 140, 140), form)
+    X = rng.standard_normal((260, 140))
+    G0 = rng.standard_normal((260, 140))
+    Ga, Gf = G0.copy(), G0.copy()
+    with _planned(_Plan(True, True)):
+        trainer_mod._AdaptiveReg(reg_row, reg_col, 0.3, 0.7).compute(X, Ga)
+    assert pool.submitted > 0
+    trainer_mod._FrozenReg(build_laplacian(reg_row).L,
+                           build_laplacian(reg_col).L,
+                           0.3, 0.7).compute(X, Gf)
+    assert np.array_equal(Ga, Gf)
+
+
+def test_split_frozen_run_keeps_every_bit(monkeypatch, pool):
+    (t0, s0), (t1, s1) = [
+        planned_run(monkeypatch, plan, 260, 140, "product_form", "frozen")
+        for plan in (_Plan(), _Plan(True, True))]
+    assert pool.submitted > 0  # the factor and Adam pairs
+    assert t1.to_csv() == t0.to_csv()
+    for a, b in zip(s1.chain.factors, s0.chain.factors):
+        assert np.array_equal(a, b)
+
+
+def test_split_step_keeps_its_bits_under_rapid_thread_switches(monkeypatch,
+                                                               pool):
+    # both halves write rows of one K and one G; a switch every microsecond
+    # interleaves them as finely as the interpreter allows
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 8)
+    rng = make_rng(73)
+    reg = trainer_mod._AdaptiveReg(
+        RegParam(gaussian_matrix(rng, 70, 70), "sum_form"),
+        RegParam(gaussian_matrix(rng, 50, 50)), 0.3, 0.7)
+    X = rng.standard_normal((70, 50))
+    Rr, Rc, G, (gWr, gWc) = reg.compute(X, np.zeros((70, 50)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with _planned(_Plan(graphs=True)):
+                got = reg.compute(X, np.zeros((70, 50)))
+            assert got[:2] == (Rr, Rc)
+            for a, b in zip((got[2], *got[3]), (G, gWr, gWc)):
+                assert np.array_equal(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.submitted == 20 * 2 * 3  # three sweeps of two graphs
+
+
+def slow_on(thread_is_main: bool, fn):
+    """fn, delayed on the main thread or on the worker only."""
+    def slowed(*args):
+        if (threading.current_thread() is threading.main_thread()
+                ) == thread_is_main:
+            time.sleep(0.05)
+        return fn(*args)
+    return slowed
+
+
+@pytest.mark.parametrize("row, slow_main", [(5, True), (1, False)])
+def test_split_overflow_is_raised_once_both_halves_end(monkeypatch, pool,
+                                                       row, slow_main):
+    # blocks of 2 rows: rows 0-3 are the caller's half, rows 4-6 the
+    # worker's; only A at (row, row + 1) overflows. The half without the
+    # overflow is slowed, so it is still running when the other raises
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 2)
+    monkeypatch.setattr(air_reg, "_sq_distances",
+                        slow_on(slow_main, air_reg._sq_distances))
+    W = np.zeros((7, 7))
+    W[row, row + 1] = W[row + 1, row] = 720.0
+    X = make_rng(3).standard_normal((7, 4))
+    G = np.zeros((7, 4))
+    with _planned(_Plan(graphs=True)):
+        with pytest.raises(NumericOverflow):
+            reg_value_and_grad(RegParam(W), X, lam=1.0, out=G)
+    done, failed = (slice(0, 4), slice(4, 7)) if row == 5 else (
+        slice(4, 7), slice(0, 4))
+    # the other half ran to its end before the error was raised, and the
+    # half that raised wrote none of its rows
+    assert np.abs(G[done]).min() > 0 and not G[failed].any()
+    after = G.copy()
+    time.sleep(0.2)
+    assert np.array_equal(G, after)
+
+
+@pytest.mark.parametrize("optimizer, lr, poison, iteration, what", [
+    ("gd", 10.0, None, 4, "objective"),
+    ("gd", 100.0, None, 4, "estimate"),
+    # a NaN gradient of a parameter in the caller's half, or the worker's
+    ("adam", 1e-3, 0, 1, "factor 0"),
+    ("adam", 1e-3, -1, 1, "graph parameter"),
+])
+def test_split_divergence_is_reported_alike(monkeypatch, pool, optimizer, lr,
+                                            poison, iteration, what):
+    # no np.errstate here: an overflow warning from a worker that lost
+    # train's error state would fail the test (pyproject makes it an error)
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 2)
+    if poison is not None:
+        real = trainer_mod.adam_step
+
+        def poisoned(params, grads, *args):
+            grads[poison][0, 0] = np.nan
+            return real(params, grads, *args)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", poisoned)
+    found = []
+    for plan in (_Plan(), _Plan(True, True)):
+        force_plan(monkeypatch, plan)
+        rng = make_rng(0)
+        chain = initialize(6, 6, 3, scheme="gaussian", rng=rng, variance=1.0)
+        # the sum form's adjacency cannot overflow, so the run diverges
+        state = ModelState(chain, *(
+            RegParam(gaussian_matrix(rng, 6, 6, variance=1e-5), "sum_form")
+            for _ in range(2)))
+        mask = generate_mask(rng, 6, 6, "random", p=0.3)
+        y = rng.standard_normal(mask.n_observed)
+        cfg = TrainConfig(optimizer=optimizer, lr=lr, max_iters=50,
+                          lambda_mode="explicit", lambda_row=0.3,
+                          lambda_col=0.7, log_every=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as exc:
+                train(state, mask, y, cfg)
+        found.append((exc.value.iteration, str(exc.value),
+                      exc.value.trace.to_csv()))
+    assert pool.submitted > 0
+    assert found[1] == found[0]
+    assert found[0][:2] == (iteration,
+                            f"non-finite {what} at iteration {iteration}")
 
 
 # ---------------------------------------------------------------------------
