@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericOverflow
-from .mat_core import _PLAN, _both, _halfway, as_matrix
+from .mat_core import _PLAN, _lanes, _queue, as_matrix
 
 __all__ = [
     "RegParam", "LaplacianPair",
@@ -79,15 +79,6 @@ class LaplacianPair:
 def _row_blocks(m: int) -> list[slice]:
     return [slice(i, min(i + _GRAPH_BLOCK, m))
             for i in range(0, m, _GRAPH_BLOCK)]
-
-
-def _split_sweep(fn, blocks: list[slice]) -> list:
-    """[fn(blk) for blk in blocks], with the blocks of the second half of
-    the rows on the worker; fn must write only rows blk."""
-    k = _halfway([blk.stop - blk.start for blk in blocks])
-    first, second = _both(lambda: [fn(blk) for blk in blocks[:k]],
-                          lambda: [fn(blk) for blk in blocks[k:]])
-    return first + second
 
 
 def _exp_scale(W: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -227,8 +218,17 @@ def _fixed_graph_term(L, M, lam: float, out) -> float:
     return R
 
 
+def _gram_ahead(p: RegParam, M):
+    """For a reg_value_and_grad(p, M) call to come: its Gram matrix M M^T
+    and first pass _exp_scale(p.W), queued on the worker when a training
+    plan splits this graph (see mat_core._lanes), else None."""
+    if not (_PLAN.get().graphs and p.dim > _GRAPH_BLOCK):
+        return None
+    return _queue(lambda: (M @ M.T, _exp_scale(p.W)))
+
+
 def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
-                       grad: bool = True):
+                       grad: bool = True, ahead=None):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -248,11 +248,12 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     matrix M M^T is formed whole (numpy runs a symmetric rank-k update)
     and becomes dR/dW in place: a first pass over the blocks gives S, a
     second turns each block into K, adds its share of R and writes K o A
-    (sum form: K o E), and a last subtracts R E. Under a training plan
-    with graphs split (see mat_core._both) the first pass runs on the
-    worker while the Gram is formed, and the other two hand the second
-    half of the rows to the worker; R is summed over blocks in block
-    order either way, so the bits do not depend on the split.
+    (sum form: K o E), and a last subtracts R E. `ahead`, from
+    _gram_ahead(p, M), brings the Gram matrix and the first pass formed
+    on the worker. Under a training plan with graphs split (see
+    mat_core._lanes) the other two passes hand their blocks to two lanes;
+    R is summed over blocks in block order either way, so the bits do not
+    depend on the split.
 
     Returns (R, dR/dW), or (R, None) with grad=False. With lam nonzero and
     `out` an array whose rows match M's (out.T for M = X^T), the second
@@ -264,12 +265,12 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     W = p.W
     sum_form = p.parameterization == "sum_form"
     blocks = _row_blocks(p.dim)
-    split = _PLAN.get().graphs and len(blocks) > 1
-    if split:
-        K, (c, s, tail) = _both(lambda: M @ M.T, lambda: _exp_scale(W))
-    else:
+    split = _PLAN.get().graphs
+    if ahead is None or ahead.cancel():  # not started: form it here
         c, s, tail = _exp_scale(W)
         K = M @ M.T
+    else:
+        K, (c, s, tail) = ahead.result()
     d = K.diagonal().copy()
     add = out is not None and lam != 0.0
 
@@ -288,10 +289,8 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
             out[blk] += LM
         return r
 
-    parts = (_split_sweep(energy_rows, blocks) if split
-             else map(energy_rows, blocks))
     R = 0.0
-    for r in parts:
+    for r in _lanes(energy_rows, blocks, split):
         R += r  # in block order; sum() may compensate on newer Pythons
     if not sum_form:
         R *= 0.5
@@ -303,11 +302,7 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
             E *= R
             K[blk] -= E
 
-        if split:
-            _split_sweep(subtract_rows, blocks)
-        else:
-            for blk in blocks:
-                subtract_rows(blk)
+        _lanes(subtract_rows, blocks, split)
     return R, (K if grad else None)
 
 

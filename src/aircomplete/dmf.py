@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .mat_core import _PLAN, _both, gaussian_matrix, svd
+from .mat_core import _PAIR_MIN, _PLAN, _lanes, gaussian_matrix, svd
 
 __all__ = ["FactorChain", "forward", "initialize", "balance_residuals"]
 
@@ -66,17 +66,38 @@ def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
     """Product of the chain, multiplied from its narrow end.
 
     The association order is fixed so repeated runs are bit-identical.
-    When `partials` is a list, each partial product is appended to it
-    before it is multiplied further (the first is the end factor itself),
-    for `factor_grads_from_full` to reuse.
+    From _PAIR_MIN entries the walk's narrow dimension (the rows for
+    m <= n, else the columns) is cut into two fixed halves, each carried
+    through the whole chain into arrays allocated up front; under a
+    training plan with pairs (see mat_core._lanes) the halves run on two
+    lanes, with the same bits. When `partials` is a list, each partial
+    product is appended to it before it is multiplied further (the first
+    is the end factor itself), for `factor_grads_from_full` to reuse.
     """
     facs, mul = _walk(chain)
     X = facs[-1]
-    for W in reversed(facs[:-1]):
-        if partials is not None:
-            partials.append(X)
-        X = mul(X, W)
-    return X
+    m, n = chain.shape
+    if m * n < _PAIR_MIN:
+        for W in reversed(facs[:-1]):
+            if partials is not None:
+                partials.append(X)
+            X = mul(X, W)
+        return X
+    k = min(m, n)
+    rows = mul is np.matmul
+    outs = [np.empty((m, W.shape[1]) if rows else (W.shape[0], n))
+            for W in reversed(facs[:-1])]
+
+    def half(cut):
+        at = cut if rows else (slice(None), cut)
+        Y = X[at]
+        for W, out in zip(reversed(facs[:-1]), outs):
+            Y = mul(Y, W, out=out[at])
+
+    _lanes(half, (slice(0, k // 2), slice(k // 2, k)), _PLAN.get().pairs)
+    if partials is not None:
+        partials += [X] + outs[:-1]
+    return outs[-1]
 
 
 def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
@@ -91,8 +112,7 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
     same factors, not yet updated. Each is popped once used, so the list
     is empty afterwards. The pass costs 2L - 2 products and returns
     C-contiguous gradients. Under a training plan with pairs (see
-    mat_core._both) each gradient is formed on the worker, into an array
-    allocated here, while the next T is formed here.
+    mat_core._lanes) each gradient and the next T are formed on two lanes.
     """
     facs, mul = _walk(chain)
     pairs = _PLAN.get().pairs
@@ -102,8 +122,8 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
         P = partials.pop()
         if pairs:
             grad = np.empty(W.shape)  # each gradient has its factor's shape
-            T, _ = _both(lambda: mul(T, W.T),
-                         lambda: mul(P.T, T, out=grad))
+            T, _ = _lanes(lambda args: mul(*args),
+                          ((T, W.T), (P.T, T, grad)), True)
             grads.append(grad)
         else:
             grads.append(mul(P.T, T))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -109,11 +110,20 @@ def finite_difference_grad(f, X, h: float = 1e-5) -> np.ndarray:
 # two-way split of a training step
 
 class _Plan(NamedTuple):
-    """Which parts of a training step run in two halves (see _both)."""
+    """Which parts of a training step run on two lanes (see _lanes)."""
 
     graphs: bool = False  # the row blocks of a graph that spans several
-    pairs: bool = False   # factor-gradient pairs and the Adam update
+    pairs: bool = False   # the forward halves, factor-gradient pairs, Adam
 
+
+# entries of X from which `forward` multiplies two fixed halves, with or
+# without a second lane, and a training plan splits the pairs. Split on
+# one BLAS thread, the factor gradients and Adam took 0.55x their time at
+# the MovieLens-100K shape (1.6M entries) and 0.62x at 300 x 300 depth 8
+# while the second CPU was free, and 4-10% more while it was busy; the
+# worker's BLAS buffer and malloc arena add 1.8 MB to a 300 x 300 depth-8
+# run's 65 MB peak and 3.9 MB to 308 MB at 1.6M entries
+_PAIR_MIN = 1 << 20
 
 # the plan of the running `train` call, scoped like np.errstate; off
 # everywhere else
@@ -130,14 +140,10 @@ def _planned(plan: _Plan):
         _PLAN.reset(token)
 
 
-def _both(f, g):
-    """(f(), g()), with g run on a one-worker pool while f runs here.
-
-    g runs in a copy of the caller's context, so it keeps np.errstate but
-    sees the plan off and never splits again. g's half is awaited before
-    this returns or raises; an error of f is raised before one of g, the
-    order a sequential f(); g() would give. The caller must not hand the
-    two halves overlapping outputs.
+def _queue(fn):
+    """Future of fn(), run on the one-worker pool once the work queued
+    before it drains. fn runs in a copy of the caller's context, so it
+    keeps np.errstate but sees the plan off and never queues work itself.
     """
     global _POOL
     if _POOL is None:
@@ -145,17 +151,37 @@ def _both(f, g):
                                    thread_name_prefix="aircomplete")
     ctx = contextvars.copy_context()
     ctx.run(_PLAN.set, _Plan())
-    done = _POOL.submit(ctx.run, g)
+    return _POOL.submit(ctx.run, fn)
+
+
+def _lanes(fn, items, split: bool) -> list:
+    """[fn(x) for x in items], on two lanes with split.
+
+    Each lane takes the next item from a shared counter, so a busy lane
+    leaves the rest to the other: this thread, and the worker, which joins
+    once its queue (see _queue) drains. Every item runs even after one
+    raises; the error of the lowest item is raised once both lanes end.
+    fn must write disjoint outputs for different items.
+    """
+    if not split or len(items) < 2:
+        return list(map(fn, items))
+    out = [None] * len(items)
+    errors = {}
+    count = itertools.count()
+
+    def lane():
+        while (i := next(count)) < len(items):
+            try:
+                out[i] = fn(items[i])
+            except Exception as err:
+                errors[i] = err
+
+    worker = _queue(lane)
     try:
-        a = f()
-    except BaseException:
-        done.exception()  # waits for g, whose outcome is dropped
-        raise
-    return a, done.result()
-
-
-def _halfway(sizes) -> int:
-    """k, 0 < k < len(sizes), for which sum(sizes[:k]) and sum(sizes[k:])
-    are nearest."""
-    return min(range(1, len(sizes)),
-               key=lambda k: abs(sum(sizes[k:]) - sum(sizes[:k])))
+        lane()
+    finally:
+        if not worker.cancel():  # the worker took items: await them
+            worker.result()
+    if errors:
+        raise errors[min(errors)]
+    return out

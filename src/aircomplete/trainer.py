@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .air_reg import RegParam, _fixed_graph_term, reg_value_and_grad
+from .air_reg import (RegParam, _fixed_graph_term, _gram_ahead,
+                      reg_value_and_grad)
 from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
 from .dmf import FactorChain, factor_grads_from_full, forward
 from .errors import DivergenceError, InvalidInput, NumericOverflow
-from .mat_core import (_PLAN, _Plan, _both, _halfway, _planned, as_matrix,
+from .mat_core import (_PAIR_MIN, _PLAN, _Plan, _lanes, _planned, as_matrix,
                        svd)
 
 __all__ = [
@@ -216,6 +217,15 @@ def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
 # smaller blocks pay more per-call overhead, and the smallest of those
 # sizes keeps the scratch at 256 KB
 _ADAM_BLOCK = 16384
+# entries per lane task of adam_step and the parameter scan: 16 blocks, so
+# the MovieLens-100K parameters make about 30 tasks for two lanes to share
+_LANE_TASK = 16 * _ADAM_BLOCK
+
+
+def _row_chunks(a: np.ndarray) -> list[slice]:
+    """Slices of whole rows of a, of about _LANE_TASK entries each."""
+    rows = max(1, _LANE_TASK // a.shape[1])
+    return [slice(i, i + rows) for i in range(0, a.shape[0], rows)]
 
 
 def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
@@ -227,21 +237,16 @@ def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
     any layout), through two scratch buffers of one block each, so every
     operand is read from cache after its first touch and no full-size
     temporary is allocated. Under a training plan with pairs (see
-    mat_core._both) the worker updates the parameters of the second half
-    of the entries.
+    mat_core._lanes) two lanes share out tasks of _LANE_TASK entries.
     """
     if t < 1:
         raise InvalidInput("adam step count starts at 1")
     ms, vs = moments
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    items = list(zip(params, grads, ms, vs))
-    if _PLAN.get().pairs and len(items) > 1:
-        k = _halfway([p.size for p in params])
-        _both(lambda: _adam_update(items[:k], c1, c2, cfg),
-              lambda: _adam_update(items[k:], c1, c2, cfg))
-    else:
-        _adam_update(items, c1, c2, cfg)
+    _lanes(lambda item: _adam_update([item], c1, c2, cfg),
+           [[a[chunk] for a in item] for item in zip(params, grads, ms, vs)
+            for chunk in _row_chunks(item[0])], _PLAN.get().pairs)
     return params, moments
 
 
@@ -326,17 +331,22 @@ class _AdaptiveReg(_NoReg):
         self.w_params = (reg_row.W, reg_col.W)
 
     def compute(self, X, G):
+        # the column graph's Gram is formed on the worker beside the row
+        # graph's passes; G still takes the row term first
+        ahead = _gram_ahead(self.reg_col, X.T)
         Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G)
         Rc, gWc = reg_value_and_grad(self.reg_col, X.T, lam=self.lam_c,
-                                     out=G.T)
+                                     out=G.T, ahead=ahead)
         gWr *= self.lam_r
         gWc *= self.lam_c
         return Rr, Rc, G, (gWr, gWc)
 
     def values(self, X):
         # compute()'s energies by the same sweep, without any gradient
+        ahead = _gram_ahead(self.reg_col, X.T)
         return (reg_value_and_grad(self.reg_row, X, grad=False)[0],
-                reg_value_and_grad(self.reg_col, X.T, grad=False)[0])
+                reg_value_and_grad(self.reg_col, X.T, grad=False,
+                                   ahead=ahead)[0])
 
 
 class _FrozenReg(_NoReg):
@@ -364,17 +374,6 @@ class _TvReg(_NoReg):
         value, grad = tv_value_and_grad(X, self.cfg)
         G += self.lam * grad
         return value, 0.0, G, ()
-
-
-# entries of X from which train's factor-gradient pairs and Adam update run
-# in two halves. In paired runs on one BLAS thread they cut that part of
-# the step to 0.55x at the MovieLens-100K shape (1.6M entries) and 0.62x
-# at 300 x 300 depth 8 while the second CPU was free, and cost 4-10% while
-# it was busy. The worker's own memory, a second BLAS buffer and malloc
-# arena, does not shrink with the model: it added 1.8 MB (2.8%) to a
-# 300 x 300 depth-8 run's peak of 65 MB, and 3.9 MB (1.3%) to 308 MB at
-# the MovieLens-100K shape
-_PAIR_MIN = 1 << 20
 
 
 def _two_way_plan(m: int, n: int) -> _Plan:
@@ -476,7 +475,12 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     prev_scaled = None
     streak = 0
     stop_reason = "max_iters"
-    with _planned(_two_way_plan(m, n)):
+    # the parameters in chunks of rows, so that the scan after every step
+    # needs no boolean array of a whole parameter's size
+    owner, scan = zip(*[(j, p[chunk]) for j, p in enumerate(params)
+                        for chunk in _row_chunks(p)])
+    plan = _two_way_plan(m, n)
+    with _planned(plan):
         for it in range(cfg.max_iters + 1):
             partials = []
             X = forward(chain, partials)
@@ -526,10 +530,11 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
             grads = factor_grads_from_full(chain, G, partials) + list(w_grads)
             del G
             opt.step(grads)
-            for j, p in enumerate(params):
-                if not np.isfinite(p).all():
-                    what = f"factor {j}" if j < n_fac else "graph parameter"
-                    raise failed(DivergenceError(it + 1, what))
+            finite = _lanes(lambda a: np.isfinite(a).all(), scan, plan.pairs)
+            if not all(finite):  # name the first parameter scanned false
+                j = owner[finite.index(False)]
+                what = f"factor {j}" if j < n_fac else "graph parameter"
+                raise failed(DivergenceError(it + 1, what))
             del partials, diff, grads, w_grads
 
     trace.stop_reason = stop_reason

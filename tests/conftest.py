@@ -7,7 +7,7 @@ from aircomplete import mat_core
 
 
 class CountingPool:
-    """Stands in for the worker pool of mat_core._both and counts the
+    """Stands in for the worker pool of mat_core._queue and counts the
     tasks handed to it."""
 
     def __init__(self):

@@ -181,9 +181,9 @@ def test_complete_forms_each_product_once(small_problem, tmp_path,
             == (tmp_path / "product.csv").read_bytes())
 
 
-def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+def same_outputs_on_one_and_two_cpus(tmp_path, *shape):
     # a child on one CPU takes the sequential path, one on two splits the
-    # step; each graph of 300 x 260 spans three row blocks
+    # step
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity") else []
     if len(cpus) < 2:
@@ -201,9 +201,8 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
     runs = {}
     for name, use in (("one", cpus[:1]), ("two", cpus[:2])):
         out = tmp_path / name
-        argv = ["complete", "--data-kind", "lowrank", "--rows", "300",
-                "--cols", "260", "--rank", "4", "--missing", "0.7",
-                "--max-iters", "3", "--log-every", "1", "--stop-delta", "0",
+        argv = ["complete", "--data-kind", "lowrank", *shape, "--rank", "4",
+                "--missing", "0.7", "--log-every", "1", "--stop-delta", "0",
                 "--track-sigmas", "2", "--out-dir", str(out)]
         done = subprocess.run(
             [sys.executable, "-c", child, " ".join(map(str, use)), *argv],
@@ -213,6 +212,19 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
                        ("trace.csv", "recovered.csv", "report.json")])
     assert runs["one"][0] == "split False" and runs["two"][0] == "split True"
     assert runs["one"][1] == runs["two"][1]
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    # each graph of 300 x 260 spans three row blocks
+    same_outputs_on_one_and_two_cpus(tmp_path, "--rows", "300", "--cols",
+                                     "260", "--max-iters", "3")
+
+
+def test_outputs_do_not_depend_on_the_cpu_count_from_2_20_entries(tmp_path):
+    # from 2^20 entries the forward halves and the factor pairs split too
+    same_outputs_on_one_and_two_cpus(tmp_path, "--rows", "1030", "--cols",
+                                     "1024", "--width", "8", "--max-iters",
+                                     "2")
 
 
 def test_eval_reproduces_report_metrics(small_problem, tmp_path, capsys):

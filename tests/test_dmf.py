@@ -8,7 +8,7 @@ from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask, lift
 from aircomplete.dmf import (FactorChain, balance_residuals,
                              factor_grads_from_full, forward, initialize)
 from aircomplete.errors import InvalidInput
-from aircomplete.mat_core import make_rng
+from aircomplete.mat_core import _PAIR_MIN, _planned, _Plan, make_rng
 
 
 def half_sq_error(chain, mask, y):
@@ -157,6 +157,39 @@ def test_forward_with_partials_keeps_its_bits():
             X, _ = one_pass(chain, rng.standard_normal(shape))
             assert np.array_equal(X, forward(chain))
             assert X.flags.c_contiguous
+
+
+# from _PAIR_MIN entries the rows (m <= n) or the columns (m > n) of the
+# walk are multiplied in two fixed halves
+@pytest.mark.parametrize("m, n", [(1024, 1030), (1030, 1024)])
+def test_forward_halves_keep_their_bits_on_one_lane(pool, m, n):
+    assert m * n >= _PAIR_MIN
+    chain = initialize(m, n, 3, r=8, scheme="gaussian", rng=make_rng(9),
+                       variance=0.5)
+    runs = []
+    for plan in (_Plan(), _Plan(True, True)):
+        with _planned(plan):
+            partials = []
+            runs.append([forward(chain, partials)] + partials)
+    assert pool.submitted == 1  # the second half, offered to the worker
+    assert len(runs[0]) == len(runs[1]) == 3
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+    W0, W1, W2 = chain.factors
+    whole = W2 @ (W1 @ W0)
+    assert np.abs(runs[0][0] - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+# one entry short of _PAIR_MIN: the whole chain, association order included
+@pytest.mark.parametrize("m, n", [(1023, 1024), (1024, 1023)])
+def test_forward_below_the_halves_keeps_the_whole_products_bits(m, n):
+    assert m * n == _PAIR_MIN - 1024
+    W0, W1, W2 = initialize(m, n, 3, r=8, scheme="gaussian",
+                            rng=make_rng(10), variance=0.5).factors
+    whole = (W2 @ W1) @ W0 if m <= n else W2 @ (W1 @ W0)
+    with _planned(_Plan(True, True)):
+        assert np.array_equal(forward(FactorChain([W0, W1, W2])), whole)
 
 
 class CountingArray(np.ndarray):

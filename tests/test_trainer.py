@@ -779,7 +779,8 @@ def test_split_step_keeps_its_bits_under_rapid_thread_switches(monkeypatch,
                 assert np.array_equal(a, b)
     finally:
         sys.setswitchinterval(interval)
-    assert pool.submitted == 20 * 2 * 3  # three sweeps of two graphs
+    # the column Gram queued ahead, then two sweeps of two graphs
+    assert pool.submitted == 20 * 5
 
 
 def slow_on(thread_is_main: bool, fn):
@@ -790,6 +791,33 @@ def slow_on(thread_is_main: bool, fn):
             time.sleep(0.05)
         return fn(*args)
     return slowed
+
+
+def test_a_stalled_worker_does_not_stall_the_sweep(monkeypatch, pool):
+    # the worker sleeps on every graph block it takes; the caller takes the
+    # next block whenever it is free, so it runs most of the 9 + 7 blocks
+    monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 8)
+    rng = make_rng(74)
+    reg = trainer_mod._AdaptiveReg(
+        RegParam(gaussian_matrix(rng, 70, 70), "sum_form"),
+        RegParam(gaussian_matrix(rng, 50, 50)), 0.3, 0.7)
+    X = rng.standard_normal((70, 50))
+    Rr, Rc, G, (gWr, gWc) = reg.compute(X, np.zeros((70, 50)))
+    on_main = []
+    real = air_reg._sq_distances
+
+    def counted(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(air_reg, "_sq_distances", slow_on(False, counted))
+    with _planned(_Plan(graphs=True)):
+        got = reg.compute(X, np.zeros((70, 50)))
+    assert len(on_main) == 9 + 7
+    assert sum(on_main) > len(on_main) / 2
+    assert got[:2] == (Rr, Rc)
+    for a, b in zip((got[2], *got[3]), (G, gWr, gWc)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("row, slow_main", [(5, True), (1, False)])
