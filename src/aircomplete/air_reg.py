@@ -81,35 +81,40 @@ def _row_blocks(m: int) -> list[slice]:
             for i in range(0, m, _GRAPH_BLOCK)]
 
 
-def _exp_scale(W: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _exp_scale(W: np.ndarray, ws=None,
+               key=None) -> tuple[float, float, np.ndarray]:
     """(c, s, tail) with c = max W and s = sum(exp(W - c)), summed over
     row blocks, so that E = exp(W - c)/s and log S = c + log s never
     overflow however large W grows; tail is exp(W - c) on the last block,
-    for a sweep to reuse."""
+    for a sweep to reuse. With a workspace every block is written into its
+    buffer under key."""
     c = float(W.max())
     s = 0.0
     for blk in _row_blocks(W.shape[0]):
-        tail = np.subtract(W[blk], c)
+        Wb = W[blk]  # out positional: out=None costs a small call 0.5 us
+        tail = np.subtract(Wb, c, None if ws is None
+                           else ws.take(key, Wb.shape))
         np.exp(tail, out=tail)
         s += float(tail.sum())
     return c, s, tail
 
 
 def _normalized_exp(W: np.ndarray, c: float, s: float,
-                    rows=slice(None)) -> np.ndarray:
-    """Rows `rows` of E = exp(W)/S, formed as exp(W - c)/s; C-ordered also
-    for a transposed W."""
+                    rows=slice(None), out=None) -> np.ndarray:
+    """Rows `rows` of E = exp(W)/S, formed as exp(W - c)/s, into `out` when
+    given; C-ordered also for a transposed W."""
     Wr = W[rows]
-    E = np.subtract(Wr, c, out=np.empty(Wr.shape))
+    E = np.subtract(Wr, c, out=np.empty(Wr.shape) if out is None else out)
     np.exp(E, out=E)
     E /= s
     return E
 
 
 def _adjacency_rows(p: RegParam, c: float, s: float, rows=slice(None),
-                    E=None) -> np.ndarray:
+                    E=None, out=None) -> np.ndarray:
     """Rows `rows` of A for the current W, given (c, s) = _exp_scale(W)
-    and, in the sum form, optionally the same rows of E.
+    and, in the sum form, optionally the same rows of E; written into
+    `out` when given.
 
     The product form is A = exp(W + W^T - log S), exponentiated in place,
     and raises NumericOverflow only when an entry of A itself is beyond
@@ -122,11 +127,11 @@ def _adjacency_rows(p: RegParam, c: float, s: float, rows=slice(None),
         # E's rows summed into E^T's, which are C-ordered, so A's degrees sum
         # in one order at every size; addition commutes, so the bits are
         # those of E + E^T
-        A = _normalized_exp(W.T, c, s, rows)
+        A = _normalized_exp(W.T, c, s, rows, out)
         A += _normalized_exp(W, c, s, rows) if E is None else E
         return A
     log_s = c + math.log(s)
-    A = np.add(W[rows], W.T[rows])
+    A = np.add(W[rows], W.T[rows], out)
     A -= log_s
     if log_s > _LOG_MAX:
         top = A.max()
@@ -196,21 +201,25 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     return R, KE - R * E
 
 
-def _laplacian_rows(L_blk, M) -> np.ndarray:
-    """Rows of L M, from the same rows of the symmetric L."""
+def _laplacian_rows(L_blk, M, out=None) -> np.ndarray:
+    """Rows of L M, from the same rows of the symmetric L, into the
+    C-ordered `out` when given."""
     if L_blk.shape[0] == L_blk.shape[1] and M.flags.f_contiguous:
         # all of L, and M is X^T: X L skips BLAS's slower transposed
         # operand, which costs a 100 x 100 step about 3% of its graph time
-        return (M.T @ L_blk).T
-    return L_blk @ M
+        if out is None:
+            return (M.T @ L_blk).T
+        return np.matmul(M.T, L_blk, out=out.reshape(M.shape[1], -1)).T
+    return L_blk @ M if out is None else np.matmul(L_blk, M, out=out)
 
 
-def _fixed_graph_term(L, M, lam: float, out) -> float:
+def _fixed_graph_term(L, M, lam: float, out, ws=None) -> float:
     """tr(M^T L M) for a given L, adding 2 lam L M into out in the row
     blocks of reg_value_and_grad, so that the two add the same bits."""
     R = 0.0
     for blk in _row_blocks(L.shape[0]):
-        LM = _laplacian_rows(L[blk], M)
+        LM = _laplacian_rows(L[blk], M, None if ws is None else ws.take(
+            ("blk", 0), (blk.stop - blk.start, M.shape[1])))
         R += float(np.vdot(M[blk], LM))
         if lam != 0.0:
             LM *= 2.0 * lam  # in place, not into a copy
@@ -218,17 +227,23 @@ def _fixed_graph_term(L, M, lam: float, out) -> float:
     return R
 
 
-def _gram_ahead(p: RegParam, M):
-    """For a reg_value_and_grad(p, M) call to come: its Gram matrix M M^T
-    and first pass _exp_scale(p.W), queued on the worker when a training
-    plan splits this graph (see mat_core._lanes), else None."""
+def _gram(p: RegParam, M, ws):
+    """reg_value_and_grad's Gram matrix M M^T and first pass."""
+    K = None if ws is None else ws.take((id(p), "K"), (p.dim, p.dim))
+    return np.matmul(M, M.T, out=K), _exp_scale(p.W, ws, (id(p), "tail"))
+
+
+def _gram_ahead(p: RegParam, M, ws=None):
+    """For a reg_value_and_grad(p, M, ws=ws) call to come: its Gram matrix
+    and first pass, queued on the worker when a training plan splits this
+    graph (see mat_core._lanes), else None."""
     if not (_PLAN.get().graphs and p.dim > _GRAPH_BLOCK):
         return None
-    return _queue(lambda: (M @ M.T, _exp_scale(p.W)))
+    return _queue(lambda: _gram(p, M, ws))
 
 
 def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
-                       grad: bool = True, ahead=None):
+                       grad: bool = True, ahead=None, ws=None):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -258,8 +273,12 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     Returns (R, dR/dW), or (R, None) with grad=False. With lam nonzero and
     `out` an array whose rows match M's (out.T for M = X^T), the second
     pass also adds 2 lam L M, the gradient in M of lam R, into `out`.
+    With a workspace `ws` (mat_core._Scratch) the Gram matrix, and so
+    dR/dW, is its buffer for p, and each lane's block arrays are its own
+    "blk" buffer; the bits are the same.
     """
-    M = as_matrix(M, "transformed matrix")
+    if ws is None:  # train, the caller with a workspace, has checked X
+        M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
     W = p.W
@@ -267,16 +286,25 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     blocks = _row_blocks(p.dim)
     split = _PLAN.get().graphs
     if ahead is None or ahead.cancel():  # not started: form it here
-        c, s, tail = _exp_scale(W)
-        K = M @ M.T
+        K, (c, s, tail) = ((M @ M.T, _exp_scale(W)) if ws is None
+                           else _gram(p, M, ws))
     else:
         K, (c, s, tail) = ahead.result()
     d = K.diagonal().copy()
     add = out is not None and lam != 0.0
 
+    scratch = None  # without a workspace numpy allocates each block's arrays
+    if ws is not None:
+        def scratch(blk, i, cols=W.shape[0]):
+            # this lane's block arrays, i blocks of b x dim(p) in: A, E (sum
+            # form), then L M
+            b = blk.stop - blk.start
+            return ws.take("blk", (b, cols), lane=True, at=b * W.shape[0] * i)
+
     def energy_rows(blk):
-        F = _normalized_exp(W, c, s, blk) if sum_form else None
-        A = _adjacency_rows(p, c, s, blk, F)
+        F = (_normalized_exp(W, c, s, blk, scratch and scratch(blk, 1))
+             if sum_form else None)
+        A = _adjacency_rows(p, c, s, blk, F, scratch and scratch(blk, 0))
         Kb = _sq_distances(K, d, blk)  # K[blk], to become the gradient
         if F is None:
             F = A
@@ -284,7 +312,9 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
         if grad:
             Kb *= F
         if add:
-            LM = _laplacian_rows(_laplacian(A, out=A, first=blk.start), M)
+            LM = _laplacian_rows(_laplacian(A, out=A, first=blk.start), M,
+                                 scratch and scratch(blk, 1 + sum_form,
+                                                     M.shape[1]))
             LM *= 2.0 * lam
             out[blk] += LM
         return r
@@ -298,7 +328,8 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
         tail /= s  # the last block's E, from the first pass's exponentials
 
         def subtract_rows(blk):
-            E = tail if blk is blocks[-1] else _normalized_exp(W, c, s, blk)
+            E = tail if blk is blocks[-1] else _normalized_exp(
+                W, c, s, blk, scratch and scratch(blk, 0))
             E *= R
             K[blk] -= E
 

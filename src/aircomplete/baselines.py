@@ -152,27 +152,38 @@ def svd_impute(Y_partial, mask: SamplingMask, rank: int,
     return work
 
 
-def tv_value_and_grad(X, cfg: TvConfig) -> tuple[float, np.ndarray]:
+def tv_value_and_grad(X, cfg: TvConfig, ws=None) -> tuple[float, np.ndarray]:
     """Smoothed anisotropic total variation and its gradient.
 
     Each horizontal and vertical neighbor difference d contributes
     sqrt(d^2 + eps^2) - eps, which vanishes with d and is differentiable
-    at d = 0.
+    at d = 0. With a workspace `ws` (mat_core._Scratch) the gradient and
+    the differences are the calling lane's block scratch, with the same
+    bits.
     """
     X = as_matrix(X, "X")
-    eps = cfg.eps
-    grad = np.zeros_like(X)
+    m, n = X.shape
+    if ws is None:
+        grad = np.zeros_like(X)
+    else:
+        grad = ws.take(("blk", 0), (m, n))
+        grad.fill(0.0)
     value = 0.0
-    dh = X[:, 1:] - X[:, :-1]
-    root = np.sqrt(dh * dh + eps * eps)
-    value += float((root - eps).sum())
-    gh = dh / root
-    grad[:, 1:] += gh
-    grad[:, :-1] -= gh
-    dv = X[1:, :] - X[:-1, :]
-    root = np.sqrt(dv * dv + eps * eps)
-    value += float((root - eps).sum())
-    gv = dv / root
-    grad[1:, :] += gv
-    grad[:-1, :] -= gv
+    every, up, down = slice(None), slice(1, None), slice(None, -1)
+    # the horizontal, then the vertical differences X[hi] - X[lo]
+    for shape, hi, lo in (((m, n - 1), (every, up), (every, down)),
+                          ((m - 1, n), (up, every), (down, every))):
+        d = root = None
+        if ws is not None:
+            d = ws.take(("blk", 0), shape, at=m * n)
+            root = ws.take(("blk", 0), shape, at=2 * m * n)
+        d = np.subtract(X[hi], X[lo], d)
+        root = np.multiply(d, d, root)
+        root += cfg.eps * cfg.eps
+        np.sqrt(root, out=root)
+        d /= root  # the gradient of this direction's terms
+        grad[hi] += d
+        grad[lo] -= d
+        root -= cfg.eps
+        value += float(root.sum())
     return value, grad

@@ -95,25 +95,41 @@ class GroundTruth:
         return cls(full, (float(full.min()), float(full.max())))
 
 
-def apply_mask(X, mask: SamplingMask, which: str = "observed") -> np.ndarray:
-    """Entries of X at the selected positions, row-major order."""
+def apply_mask(X, mask: SamplingMask, which: str = "observed",
+               out=None) -> np.ndarray:
+    """Entries of X at the selected positions, row-major order, written
+    into `out` when given."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape != mask.observed.shape:
         raise InvalidInput(f"shape mismatch: {X.shape} vs mask {mask.observed.shape}")
     if which == "observed":
-        return X.take(mask._flat_observed)
+        if out is None:
+            return X.take(mask._flat_observed)
+        # the indices are in range; "raise" would gather through a copy
+        return X.take(mask._flat_observed, out=out, mode="clip")
     if which == "unobserved":
         # a boolean gather: the complement's flat indices would be large
-        return X[~mask.observed]
+        if out is None:
+            return X[~mask.observed]
+        at, rows = 0, max(1, (1 << 16) // X.shape[1])  # blocks of rows
+        for i in range(0, X.shape[0], rows):
+            part = X[i:i + rows][~mask.observed[i:i + rows]]
+            out[at:at + part.size] = part
+            at += part.size
+        return out
     raise InvalidInput(f"which must be 'observed' or 'unobserved', got {which!r}")
 
 
-def lift(values, mask: SamplingMask) -> np.ndarray:
-    """Adjoint of entry sampling: zero-fill observed values to matrix shape."""
+def lift(values, mask: SamplingMask, out=None) -> np.ndarray:
+    """Adjoint of entry sampling: zero-fill observed values to matrix shape,
+    in the C-ordered `out` when given."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mask.n_observed,):
         raise InvalidInput(f"expected {mask.n_observed} values, got {values.shape}")
-    out = np.zeros(mask.observed.shape)
+    if out is None:
+        out = np.zeros(mask.observed.shape)
+    else:
+        out.fill(0.0)
     out.ravel()[mask._flat_observed] = values
     return out
 

@@ -62,7 +62,8 @@ def _walk(chain: FactorChain):
     return chain.factors[::-1], _rmatmul
 
 
-def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
+def forward(chain: FactorChain, partials: Optional[list] = None,
+            ws=None) -> np.ndarray:
     """Product of the chain, multiplied from its narrow end.
 
     The association order is fixed so repeated runs are bit-identical.
@@ -73,11 +74,14 @@ def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
     lanes, with the same bits. When `partials` is a list, each partial
     product is appended to it before it is multiplied further (the first
     is the end factor itself), for `factor_grads_from_full` to reuse.
+    With a workspace `ws` (mat_core._Scratch) the partials and the
+    product are written into its ("fwd", i) buffers, with the same bits;
+    below _PAIR_MIN as one "half", the whole walk.
     """
     facs, mul = _walk(chain)
     X = facs[-1]
     m, n = chain.shape
-    if m * n < _PAIR_MIN:
+    if ws is None and m * n < _PAIR_MIN:
         for W in reversed(facs[:-1]):
             if partials is not None:
                 partials.append(X)
@@ -85,8 +89,10 @@ def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
         return X
     k = min(m, n)
     rows = mul is np.matmul
-    outs = [np.empty((m, W.shape[1]) if rows else (W.shape[0], n))
-            for W in reversed(facs[:-1])]
+    outs = [np.empty(shape) if ws is None else ws.take(("fwd", i), shape)
+            for i, shape in enumerate((m, W.shape[1]) if rows
+                                      else (W.shape[0], n)
+                                      for W in reversed(facs[:-1]))]
 
     def half(cut):
         at = cut if rows else (slice(None), cut)
@@ -94,14 +100,15 @@ def forward(chain: FactorChain, partials: Optional[list] = None) -> np.ndarray:
         for W, out in zip(reversed(facs[:-1]), outs):
             Y = mul(Y, W, out=out[at])
 
-    _lanes(half, (slice(0, k // 2), slice(k // 2, k)), _PLAN.get().pairs)
+    _lanes(half, (slice(0, k // 2), slice(k // 2, k)) if m * n >= _PAIR_MIN
+           else (slice(0, k),), _PLAN.get().pairs)
     if partials is not None:
         partials += [X] + outs[:-1]
     return outs[-1]
 
 
 def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
-                           partials: list) -> list[np.ndarray]:
+                           partials: list, ws=None) -> list[np.ndarray]:
     """Chain-rule gradients of sum(G * X) w.r.t. each factor, X the product.
 
     For m <= n the gradient of factor l is suf(l+1)^T T(l), with
@@ -113,6 +120,9 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
     is empty afterwards. The pass costs 2L - 2 products and returns
     C-contiguous gradients. Under a training plan with pairs (see
     mat_core._lanes) each gradient and the next T are formed on two lanes.
+    With a workspace `ws` holding G and `forward`'s arrays, each gradient
+    takes the buffer of the product or partial consumed before it, and
+    the Ts alternate between the caller's block scratch and G's buffer.
     """
     facs, mul = _walk(chain)
     pairs = _PLAN.get().pairs
@@ -120,14 +130,25 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
     T = G
     for W in facs[:-1]:
         P = partials.pop()
-        if pairs:
-            grad = np.empty(W.shape)  # each gradient has its factor's shape
-            T, _ = _lanes(lambda args: mul(*args),
-                          ((T, W.T), (P.T, T, grad)), True)
-            grads.append(grad)
-        else:
+        if ws is None and not pairs:  # the small callers' path, kept lean
             grads.append(mul(P.T, T))
             T = mul(T, W.T)
+            continue
+        if ws is None:
+            grad, T_out = np.empty(W.shape), None  # the factor's shape
+        else:
+            j = len(grads)
+            grad = ws.take(("fwd", len(facs) - 2 - j), W.shape)
+            T_out = ws.take("G" if j % 2 else ("blk", 0),
+                            (T.shape[0], W.shape[0]) if mul is np.matmul
+                            else (W.shape[1], T.shape[1]))
+        if pairs:
+            T, _ = _lanes(lambda args: mul(*args),
+                          ((T, W.T, T_out), (P.T, T, grad)), True)
+        else:
+            mul(P.T, T, grad)
+            T = mul(T, W.T, T_out)
+        grads.append(grad)
     grads.append(T)
     if facs is not chain.factors:
         grads.reverse()

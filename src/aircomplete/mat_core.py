@@ -10,6 +10,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -52,7 +54,7 @@ def as_matrix(x, name: str = "input") -> np.ndarray:
     return a
 
 
-def svd(X) -> SvdResult:
+def svd(X, compute_uv: bool = True):
     """Thin SVD with deterministic singular-vector signs.
 
     Signs are fixed so the largest-magnitude entry of each column of U is
@@ -63,15 +65,21 @@ def svd(X) -> SvdResult:
     ----------
     X : array_like, shape (m, n)
         Finite real matrix, min(m, n) >= 1.
+    compute_uv : bool
+        False skips U and V (LAPACK's values-only path, whose S can differ
+        from the full decomposition's in the last bits).
 
     Returns
     -------
     SvdResult
-        U (m, k), S (k,) descending, V (n, k).
+        U (m, k), S (k,) descending, V (n, k); with compute_uv=False, S
+        alone.
     """
     A = as_matrix(X, "svd input")
     if min(A.shape) < 1:
         raise InvalidInput("svd requires min(m, n) >= 1")
+    if not compute_uv:
+        return np.linalg.svd(A, compute_uv=False)
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     V = Vt.T
     for j in range(U.shape[1]):
@@ -129,6 +137,8 @@ _PAIR_MIN = 1 << 20
 # everywhere else
 _PLAN = contextvars.ContextVar("aircomplete_plan", default=_Plan())
 _POOL = None  # the one worker, started by the first split (main thread)
+# the lane a context runs: 0 the caller's, 1 the worker's (see _queue)
+_LANE = contextvars.ContextVar("aircomplete_lane", default=0)
 
 
 @contextlib.contextmanager
@@ -151,6 +161,7 @@ def _queue(fn):
                                    thread_name_prefix="aircomplete")
     ctx = contextvars.copy_context()
     ctx.run(_PLAN.set, _Plan())
+    ctx.run(_LANE.set, 1)
     return _POOL.submit(ctx.run, fn)
 
 
@@ -185,3 +196,39 @@ def _lanes(fn, items, split: bool) -> list:
     if errors:
         raise errors[min(errors)]
     return out
+
+
+class _Scratch(dict):
+    """The step arrays of one `train` call, kept from step to step.
+
+    take(key, shape) is a C-ordered view of the flat buffer under key,
+    `at` entries in, replaced by a larger buffer when it does not fit, so
+    from the second step on nothing is allocated. lane=True keys it by the
+    lane of _lanes, and both lanes' buffers grow together while a plan
+    splits. Arrays whose lifetimes do not overlap share a key: ("fwd", i)
+    holds forward's partials and product, then the factor gradients; "G"
+    a checkpoint's unobserved entries, the lifted residual, then every
+    other T of the gradient chain; ("blk", lane) each lane's graph-block
+    scratch, on lane 0 also the frozen terms' and TV's, then the other Ts;
+    (id(p), "K") a graph's Gram matrix, which becomes its W-gradient.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()  # both lanes may grow a buffer
+
+    def take(self, key, shape, at=0, dtype=np.float64, lane=False):
+        end = at + math.prod(shape)
+        if lane:
+            me = _LANE.get()
+            if me or any(_PLAN.get()):
+                self._fit((key, 1 - me), end, dtype)
+            key = (key, me)
+        return self._fit(key, end, dtype)[at:end].reshape(shape)
+
+    def _fit(self, key, size, dtype):
+        with self._lock:
+            buf = self.get(key)
+            if buf is None or buf.size < size or buf.dtype != dtype:
+                buf = self[key] = np.empty(size, dtype)
+            return buf

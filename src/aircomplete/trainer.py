@@ -33,8 +33,8 @@ from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
 from .dmf import FactorChain, factor_grads_from_full, forward
 from .errors import DivergenceError, InvalidInput, NumericOverflow
-from .mat_core import (_PAIR_MIN, _PLAN, _Plan, _lanes, _planned, as_matrix,
-                       svd)
+from .mat_core import (_PAIR_MIN, _PLAN, _Plan, _Scratch, _lanes, _planned,
+                       as_matrix, svd)
 
 __all__ = [
     "TrainConfig", "ModelState", "MetricTrace",
@@ -177,12 +177,14 @@ def auto_lambda(y_obs, m: int, n: int) -> tuple[float, float]:
     return lam, lam
 
 
-def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
+def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False,
+            out=None):
     """(mse_obs, mse_unobs, nmae) against known ground truth.
 
     nmae follows the printed formula: squared Frobenius deviation on
     unobserved entries over (count x truth value range). absolute=True
     switches the numerator to the literal sum of absolute deviations.
+    The unobserved deviations are formed in `out` when given.
     """
     X = as_matrix(X, "X")
     if isinstance(ground_truth, GroundTruth):
@@ -198,8 +200,10 @@ def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False):
     if mask.n_unobserved == 0:
         raise InvalidInput("nmae needs at least one unobserved entry")
     truth_obs, truth_un = gt.split(mask)
-    diff_obs = apply_mask(X, mask) - truth_obs
-    diff_un = apply_mask(X, mask, "unobserved") - truth_un
+    diff_obs = apply_mask(X, mask)
+    diff_obs -= truth_obs
+    diff_un = apply_mask(X, mask, "unobserved", out)
+    diff_un -= truth_un
     mse_obs = float(diff_obs @ diff_obs) / mask.n_observed
     mse_unobs = float(diff_un @ diff_un) / mask.n_unobserved
     if absolute:
@@ -228,37 +232,39 @@ def _row_chunks(a: np.ndarray) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, a.shape[0], rows)]
 
 
-def adam_step(params, grads, moments, t: int, cfg: TrainConfig):
+def adam_step(params, grads, moments, t: int, cfg: TrainConfig, ws=None):
     """One bias-corrected update, in place. moments is (m_list, v_list).
 
     Evaluates the textbook expression p -= lr (m/c1) / (sqrt(v/c2) + eps)
     in its usual operation order, so the bits match it. Each parameter is
     swept in blocks of whole rows of about _ADAM_BLOCK entries (views for
-    any layout), through two scratch buffers of one block each, so every
+    any layout), through two scratch buffers of one block each (each
+    lane's "adam" buffer of the workspace `ws` when given), so every
     operand is read from cache after its first touch and no full-size
     temporary is allocated. Under a training plan with pairs (see
     mat_core._lanes) two lanes share out tasks of _LANE_TASK entries.
     """
     if t < 1:
         raise InvalidInput("adam step count starts at 1")
+    ws = _Scratch() if ws is None else ws
     ms, vs = moments
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    _lanes(lambda item: _adam_update([item], c1, c2, cfg),
+    _lanes(lambda item: _adam_update([item], c1, c2, cfg, ws),
            [[a[chunk] for a in item] for item in zip(params, grads, ms, vs)
             for chunk in _row_chunks(item[0])], _PLAN.get().pairs)
     return params, moments
 
 
-def _adam_update(items, c1: float, c2: float, cfg: TrainConfig):
+def _adam_update(items, c1: float, c2: float, cfg: TrainConfig, ws):
     """adam_step's update of each (p, g, m, v) in items, with the bias
     corrections c1 and c2 of its step."""
     b1, b2 = cfg.beta1, cfg.beta2
     for p_all, g_all, m_all, v_all in items:
         n_rows, cols = p_all.shape
         rows = max(1, _ADAM_BLOCK // cols)
-        buf_a = np.empty(min(rows, n_rows) * cols)
-        buf_b = np.empty_like(buf_a)
+        buf_a, buf_b = ws.take("adam", (2, min(rows, n_rows) * cols),
+                               lane=True)
         for i in range(0, n_rows, rows):
             blk = slice(i, i + rows)
             p, g, m, v = p_all[blk], g_all[blk], m_all[blk], v_all[blk]
@@ -287,10 +293,11 @@ class Adam:
         self.moments = ([np.zeros_like(p) for p in self.params],
                         [np.zeros_like(p) for p in self.params])
         self.t = 0
+        self.ws = _Scratch()
 
     def step(self, grads):
         self.t += 1
-        adam_step(self.params, grads, self.moments, self.t, self.cfg)
+        adam_step(self.params, grads, self.moments, self.t, self.cfg, self.ws)
 
 
 class GradientDescent:
@@ -307,18 +314,21 @@ class GradientDescent:
 # regularizer strategies for the shared loop
 
 class _NoReg:
-    """The zero penalty, and the base of the others. compute(X, G) gives
-    (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into G in
-    place (_NoReg adds nothing and hands G back); values(X) gives
-    (Rr, Rc) alone, for the last trace row."""
+    """The zero penalty, and the base of the others. compute(X, G, ws)
+    gives (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into
+    G in place (_NoReg adds nothing and hands G back); values(X, ws) gives
+    (Rr, Rc) alone, for the last trace row. ws is train's workspace
+    (mat_core._Scratch), or None to allocate."""
 
     w_params = ()
 
-    def compute(self, X, G):
+    def compute(self, X, G, ws=None):
         return 0.0, 0.0, G, ()
 
-    def values(self, X):
-        return self.compute(X, np.zeros_like(X))[:2]
+    def values(self, X, ws=None):
+        # G's contents are discarded, so the workspace's need no zeroing
+        G = np.zeros_like(X) if ws is None else ws.take("G", X.shape)
+        return self.compute(X, G, ws)[:2]
 
 
 class _AdaptiveReg(_NoReg):
@@ -330,23 +340,24 @@ class _AdaptiveReg(_NoReg):
         self.lam_c = lam_c
         self.w_params = (reg_row.W, reg_col.W)
 
-    def compute(self, X, G):
+    def compute(self, X, G, ws=None):
         # the column graph's Gram is formed on the worker beside the row
         # graph's passes; G still takes the row term first
-        ahead = _gram_ahead(self.reg_col, X.T)
-        Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G)
+        ahead = _gram_ahead(self.reg_col, X.T, ws)
+        Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G,
+                                     ws=ws)
         Rc, gWc = reg_value_and_grad(self.reg_col, X.T, lam=self.lam_c,
-                                     out=G.T, ahead=ahead)
+                                     out=G.T, ahead=ahead, ws=ws)
         gWr *= self.lam_r
         gWc *= self.lam_c
         return Rr, Rc, G, (gWr, gWc)
 
-    def values(self, X):
+    def values(self, X, ws=None):
         # compute()'s energies by the same sweep, without any gradient
-        ahead = _gram_ahead(self.reg_col, X.T)
-        return (reg_value_and_grad(self.reg_row, X, grad=False)[0],
+        ahead = _gram_ahead(self.reg_col, X.T, ws)
+        return (reg_value_and_grad(self.reg_row, X, grad=False, ws=ws)[0],
                 reg_value_and_grad(self.reg_col, X.T, grad=False,
-                                   ahead=ahead)[0])
+                                   ahead=ahead, ws=ws)[0])
 
 
 class _FrozenReg(_NoReg):
@@ -356,10 +367,10 @@ class _FrozenReg(_NoReg):
         self.lam_r = lam_r
         self.lam_c = lam_c
 
-    def compute(self, X, G):
+    def compute(self, X, G, ws=None):
         # the adaptive arm's row blocks, so given its L the bits are its own
-        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G)
-        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T)
+        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G, ws)
+        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T, ws)
         return Rr, Rc, G, ()
 
 
@@ -370,9 +381,10 @@ class _TvReg(_NoReg):
         self.cfg = cfg
         self.lam = lam
 
-    def compute(self, X, G):
-        value, grad = tv_value_and_grad(X, self.cfg)
-        G += self.lam * grad
+    def compute(self, X, G, ws=None):
+        value, grad = tv_value_and_grad(X, self.cfg, ws)
+        grad *= self.lam
+        G += grad
         return value, 0.0, G, ()
 
 
@@ -413,6 +425,8 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     trace row for `it`. The last state is evaluated for its values only,
     and its product is handed back as trace.X. Where a second CPU would
     idle, the steps split two ways (see _two_way_plan) with the same bits.
+    Every step writes its arrays into one workspace (mat_core._Scratch),
+    which the first step fills.
     """
     chain = state.chain
     m, n = chain.shape
@@ -453,20 +467,25 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
               else GroundTruth.from_matrix(ground_truth))
 
     trace = MetricTrace(n_sigma=cfg.track_singular_values)
+    ws = _Scratch()
 
-    def log(it, X, sq, Rr, Rc):
-        fid = 0.5 * sq
+    def finite(a, key="scan", lane=True):
+        return np.isfinite(a, out=ws.take(key, a.shape, dtype=bool,
+                                          lane=lane)).all()
+
+    def scores(X):
+        # a checkpoint's (mse_unobs, nmae, sigmas), taken before lift fills
+        # G's buffer, which holds the unobserved entries meanwhile
         mse_un = nm = None
         if gt is not None:
-            _, mse_un, nm = metrics(X, gt, mask)
+            G = ws.take("G", (m * n,))[:mask.n_unobserved]
+            _, mse_un, nm = metrics(X, gt, mask, False, G)
         sig = ()
         if cfg.track_singular_values:
-            s = svd(X).S
+            s = svd(X, compute_uv=False)
             k = cfg.track_singular_values
             sig = tuple(s[:k]) + (0.0,) * max(0, k - s.size)
-        total = fid + lam_r * Rr + lam_c * Rc
-        trace.append(it, total, fid, lam_r * Rr, lam_c * Rc, sq / n_obs,
-                     mse_un, nm, sig)
+        return mse_un, nm, sig
 
     def failed(err):
         err.trace = trace  # callers may flush the partial log
@@ -483,31 +502,37 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     with _planned(plan):
         for it in range(cfg.max_iters + 1):
             partials = []
-            X = forward(chain, partials)
-            if not np.isfinite(X).all():
+            X = forward(chain, partials, ws)
+            if not finite(X, "finite", False):
                 # factors can stay finite while their product overflows
                 raise failed(DivergenceError(it + 1, "estimate"))
-            diff = apply_mask(X, mask) - y
+            diff = apply_mask(X, mask, "observed", ws.take("diff", y.shape))
+            diff -= y
             sq = float(diff @ diff)
             last = it == cfg.max_iters
             if (not last and cfg.stop_mse_obs is not None
                     and sq / n_obs < cfg.stop_mse_obs):
                 stop_reason = "mse_obs"
                 last = True
+            logged = it % cfg.log_every == 0 or last
+            row = scores(X) if logged else ()
             try:
                 if last:
-                    Rr, Rc = strategy.values(X)
+                    Rr, Rc = strategy.values(X, ws)
                 else:
                     # the X-gradient is added into the lifted residual
-                    Rr, Rc, G, w_grads = strategy.compute(X, lift(diff, mask))
+                    Rr, Rc, G, w_grads = strategy.compute(
+                        X, lift(diff, mask, ws.take("G", (m, n))), ws)
             except NumericOverflow as err:
                 raise failed(NumericOverflow(
                     f"{err} at iteration {it + 1}")) from err
             if not np.isfinite(sq + Rr + Rc):
                 # a finite estimate can still overflow its squared residual
                 raise failed(DivergenceError(it + 1, "objective"))
-            if it % cfg.log_every == 0 or last:
-                log(it, X, sq, Rr, Rc)
+            if logged:
+                fid = 0.5 * sq
+                trace.append(it, fid + lam_r * Rr + lam_c * Rc, fid,
+                             lam_r * Rr, lam_c * Rc, sq / n_obs, *row)
             if it % cfg.log_every == 0 and it > 0 and reg_active:
                 scaled = (lam_r * Rr, lam_c * Rc)
                 if prev_scaled is not None:
@@ -524,18 +549,14 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
             if last:
                 break
 
-            # free X before the factor gradients allocate their products, G
-            # before the update, and the rest before the next pass
-            del X
-            grads = factor_grads_from_full(chain, G, partials) + list(w_grads)
-            del G
+            grads = (factor_grads_from_full(chain, G, partials, ws)
+                     + list(w_grads))
             opt.step(grads)
-            finite = _lanes(lambda a: np.isfinite(a).all(), scan, plan.pairs)
-            if not all(finite):  # name the first parameter scanned false
-                j = owner[finite.index(False)]
+            ok = _lanes(finite, scan, plan.pairs)
+            if not all(ok):  # name the first parameter scanned false
+                j = owner[ok.index(False)]
                 what = f"factor {j}" if j < n_fac else "graph parameter"
                 raise failed(DivergenceError(it + 1, what))
-            del partials, diff, grads, w_grads
 
     trace.stop_reason = stop_reason
     trace.X = X

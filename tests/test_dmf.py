@@ -8,7 +8,8 @@ from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask, lift
 from aircomplete.dmf import (FactorChain, balance_residuals,
                              factor_grads_from_full, forward, initialize)
 from aircomplete.errors import InvalidInput
-from aircomplete.mat_core import _PAIR_MIN, _planned, _Plan, make_rng
+from aircomplete.mat_core import (_PAIR_MIN, _planned, _Plan, _Scratch,
+                                  make_rng)
 
 
 def half_sq_error(chain, mask, y):
@@ -179,6 +180,29 @@ def test_forward_halves_keep_their_bits_on_one_lane(pool, m, n):
     W0, W1, W2 = chain.factors
     whole = W2 @ (W1 @ W0)
     assert np.abs(runs[0][0] - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("m, n", [(1024, 1030), (1030, 1024)])
+def test_halves_and_pairs_into_a_workspace_keep_their_bits(pool, m, n):
+    # a first chain fills the workspace; a second, written over the first's
+    # arrays, must come out as the allocating calls give it
+    ws = _Scratch()
+    G = make_rng(10).standard_normal((m, n))
+    for seed in (11, 12):
+        chain = initialize(m, n, 3, r=8, scheme="gaussian",
+                           rng=make_rng(seed), variance=0.5)
+        with _planned(_Plan(True, True)):
+            alloc, buffered = [], []
+            X0, X1 = forward(chain, alloc), forward(chain, buffered, ws)
+            for a, b in zip([X0] + alloc, [X1] + buffered):
+                assert np.array_equal(a, b)
+            G1 = ws.take("G", (m, n))
+            G1[...] = G
+            grads = zip(factor_grads_from_full(chain, G, alloc),
+                        factor_grads_from_full(chain, G1, buffered, ws))
+            for a, b in grads:
+                assert np.array_equal(a, b) and b.flags.c_contiguous
+    assert pool.submitted > 0
 
 
 # one entry short of _PAIR_MIN: the whole chain, association order included

@@ -98,3 +98,16 @@ def test_finite_difference_grad_on_known_quadratic():
     X = make_rng(9).standard_normal((3, 4))
     G = finite_difference_grad(lambda Z: float(np.sum(Z ** 2)), X)
     assert np.allclose(G, 2 * X, atol=1e-9)
+
+
+def test_svd_values_only_agree_with_the_full_decomposition():
+    rng = make_rng(8)
+    for m, n in [(1, 1), (5, 3), (3, 5), (40, 40), (100, 60)]:
+        X = rng.standard_normal((m, n))
+        S = svd(X, compute_uv=False)
+        assert S.shape == (min(m, n),)
+        assert np.allclose(S, svd(X).S, rtol=1e-13, atol=0.0)
+    # the values-only call keeps the input checks
+    for bad in (np.zeros(3), np.array([[1.0, np.nan]]), np.zeros((0, 3))):
+        with pytest.raises(InvalidInput):
+            svd(bad, compute_uv=False)

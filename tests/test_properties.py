@@ -1,21 +1,27 @@
 """Property tests of the graph energy and its W-gradient over random shapes,
 both parameterizations, and inputs with duplicated rows, of the adjacency
-under a constant shift of W, and of the PGM reader and the config loader
-on generated input."""
+under a constant shift of W, of the step kernels writing into a workspace,
+and of the PGM reader and the config loader on generated input."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from aircomplete import air_reg, trainer  # noqa: E402
 from aircomplete.air_reg import (_LOG_MAX, RegParam,  # noqa: E402
                                  _adjacency_rows, _exp_scale,
                                  _normalized_exp, reg_value_and_grad)
+from aircomplete.baselines import TvConfig, tv_value_and_grad  # noqa: E402
 from aircomplete.cli import default_config, load_config  # noqa: E402
-from aircomplete.data_lab import read_pgm, write_pgm  # noqa: E402
+from aircomplete.data_lab import (GroundTruth, apply_mask,  # noqa: E402
+                                  generate_mask, lift, read_pgm, write_pgm)
+from aircomplete.dmf import (factor_grads_from_full, forward,  # noqa: E402
+                             initialize)
 from aircomplete.errors import (InvalidInput, NumericOverflow,  # noqa: E402
                                 ParseError)
-from aircomplete.mat_core import make_rng  # noqa: E402
+from aircomplete.mat_core import (_planned, _Plan, _Scratch,  # noqa: E402
+                                  make_rng)
 from test_air_reg import fd_energy_grad, pairwise_energy  # noqa: E402
 
 FORMS = ("product_form", "sum_form")
@@ -101,6 +107,90 @@ def test_constant_shift_of_w(inputs, c):
 
 # ---------------------------------------------------------------------------
 # PGM files and config keys: input from outside the program
+
+
+@st.composite
+def step_shapes(draw):
+    """(m, n, depth, width, form, rows per graph block, plan, seed): graphs
+    of one block or several, widths below and above min(m, n)."""
+    m, n = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    return (m, n, draw(st.integers(2, 4)),
+            draw(st.integers(1, max(m, n) + 2)), draw(st.sampled_from(FORMS)),
+            draw(st.integers(2, 9)), draw(st.sampled_from(
+                [_Plan(), _Plan(True, True)])), draw(st.integers(0, 2**32 - 1)))
+
+
+def same(a, b):
+    return np.array_equal(a, b) and a.shape == b.shape
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_shapes())
+def test_workspace_calls_keep_the_allocating_calls_bits(case):
+    # two rounds of new inputs through one workspace: an un-zeroed G, an
+    # old Gram matrix or block left in a buffer would show in the second
+    m, n, L, r, form, block, plan, seed = case
+    rng = make_rng(seed)
+    ws, lam = _Scratch(), 0.3
+    saved, air_reg._GRAPH_BLOCK = air_reg._GRAPH_BLOCK, block
+    try:
+        for _ in range(2):
+            chain = initialize(m, n, L, r, rng=rng, variance=1.0)
+            mask = generate_mask(rng, m, n, "random", p=0.4)
+            y = rng.standard_normal(mask.n_observed)
+            gt = GroundTruth.from_matrix(rng.standard_normal((m, n)))
+            graphs = [RegParam(rng.normal(scale=0.7, size=(k, k)), form)
+                      for k in (m, n)]
+            with _planned(plan):
+                p0, p1 = [], []
+                X0, X1 = forward(chain, p0), forward(chain, p1, ws)
+                assert all(map(same, [X0] + p0, [X1] + p1))
+                d1 = apply_mask(X1, mask, "observed",
+                                ws.take("diff", y.shape))
+                assert same(apply_mask(X0, mask), d1)
+                assert trainer.metrics(X0, gt, mask) == trainer.metrics(
+                    X1, gt, mask, False,
+                    ws.take("G", (m * n,))[:mask.n_unobserved])
+                G0, G1 = lift(d1 - y, mask), lift(d1 - y, mask,
+                                                  ws.take("G", (m, n)))
+                assert same(G0, G1)
+                K0, K1 = [], []
+                for p, M0, M1, out0, out1 in zip(graphs, (X0, X0.T),
+                                                 (X1, X1.T), (G0, G0.T),
+                                                 (G1, G1.T)):
+                    ahead = air_reg._gram_ahead(p, M1, ws)
+                    R0, gW0 = reg_value_and_grad(p, M0, lam=lam, out=out0)
+                    R1, gW1 = reg_value_and_grad(p, M1, lam=lam, out=out1,
+                                                 ahead=ahead, ws=ws)
+                    assert R0 == R1 and same(gW0, gW1)
+                    K0.append(gW0.copy())
+                    K1.append(gW1)
+                assert same(G0, G1)
+                frozen = trainer._FrozenReg(
+                    *[air_reg.build_laplacian(p).L for p in graphs], lam, lam)
+                H0, H1 = G0.copy(), G1.copy()
+                assert (frozen.compute(X0, H0)[:2]
+                        == frozen.compute(X1, H1, ws)[:2])
+                assert same(H0, H1)
+                v0, t0 = tv_value_and_grad(X0, TvConfig())
+                v1, t1 = tv_value_and_grad(X1, TvConfig(), ws)
+                assert v0 == v1 and same(t0, t1)
+                grads0 = factor_grads_from_full(chain, G0, p0) + K0
+                grads1 = factor_grads_from_full(chain, G1, p1, ws) + K1
+                assert all(map(same, grads0, grads1))
+                cfg = trainer.TrainConfig()
+                params = [[a.copy() for a in chain.factors] for _ in "ab"]
+                moments = [([np.ones_like(a) for a in chain.factors],
+                            [np.ones_like(a) for a in chain.factors])
+                           for _ in "ab"]
+                trainer.adam_step(params[0], grads0[:L], moments[0], 3, cfg)
+                trainer.adam_step(params[1], grads1[:L], moments[1], 3, cfg,
+                                  ws)
+                for a, b in zip(params[0] + moments[0][0] + moments[0][1],
+                                params[1] + moments[1][0] + moments[1][1]):
+                    assert same(a, b)
+    finally:
+        air_reg._GRAPH_BLOCK = saved
 
 
 @st.composite

@@ -12,13 +12,14 @@ import pytest
 from aircomplete import air_reg
 from aircomplete.air_reg import (RegParam, build_laplacian, dirichlet_energy,
                                  grad_wrt_X, reg_value_and_grad)
-from aircomplete.baselines import FixedLaplacians
+from aircomplete.baselines import FixedLaplacians, TvConfig
 from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask, lift)
 from aircomplete.dmf import FactorChain, forward, initialize
 from aircomplete.errors import DivergenceError, InvalidInput, NumericOverflow
-from aircomplete.mat_core import _planned, _Plan, gaussian_matrix, make_rng
+from aircomplete.mat_core import (_planned, _Plan, _Scratch, gaussian_matrix,
+                                  make_rng)
 from aircomplete import trainer as trainer_mod
 from aircomplete.trainer import (Adam, MetricTrace, ModelState, TrainConfig,
                                  adam_step, auto_lambda, metrics, train)
@@ -783,6 +784,30 @@ def test_split_step_keeps_its_bits_under_rapid_thread_switches(monkeypatch,
     assert pool.submitted == 20 * 5
 
 
+def test_workspace_lanes_keep_their_bits_under_rapid_thread_switches(pool):
+    # both lanes grow and write their block scratch in one workspace, first
+    # fresh, then reused; a switch every microsecond interleaves them
+    rng = make_rng(75)
+    reg = trainer_mod._AdaptiveReg(
+        RegParam(gaussian_matrix(rng, 300, 300), "sum_form"),
+        RegParam(gaussian_matrix(rng, 260, 260)), 0.3, 0.7)
+    X = rng.standard_normal((300, 260))
+    Rr, Rc, G, (gWr, gWc) = reg.compute(X, np.zeros((300, 260)))
+    ws = _Scratch()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with _planned(_Plan(graphs=True)):
+                got = reg.compute(X, np.zeros((300, 260)), ws)
+            assert got[:2] == (Rr, Rc)
+            for a, b in zip((got[2], *got[3]), (G, gWr, gWc)):
+                assert np.array_equal(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.submitted > 0
+
+
 def slow_on(thread_is_main: bool, fn):
     """fn, delayed on the main thread or on the worker only."""
     def slowed(*args):
@@ -823,9 +848,11 @@ def test_a_stalled_worker_does_not_stall_the_sweep(monkeypatch, pool):
 @pytest.mark.parametrize("row, slow_main", [(5, True), (1, False)])
 def test_split_overflow_is_raised_once_both_halves_end(monkeypatch, pool,
                                                        row, slow_main):
-    # blocks of 2 rows: rows 0-3 are the caller's half, rows 4-6 the
-    # worker's; only A at (row, row + 1) overflows. The half without the
-    # overflow is slowed, so it is still running when the other raises
+    # blocks of 2 rows, handed from a shared counter to whichever lane is
+    # free; only A at (row, row + 1) overflows, so every block holding row
+    # `row` or `row + 1` raises, whichever lane takes it. One lane is
+    # slowed, so a lane is still running its block when the other raises,
+    # and every block runs before the lowest block's error is raised
     monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 2)
     monkeypatch.setattr(air_reg, "_sq_distances",
                         slow_on(slow_main, air_reg._sq_distances))
@@ -890,6 +917,48 @@ def test_split_divergence_is_reported_alike(monkeypatch, pool, optimizer, lr,
     assert found[1] == found[0]
     assert found[0][:2] == (iteration,
                             f"non-finite {what} at iteration {iteration}")
+
+
+# ---------------------------------------------------------------------------
+# the step workspace
+
+@pytest.mark.parametrize("plan", [_Plan(), _Plan(True, True)])
+@pytest.mark.parametrize("penalty", ["air", "frozen", "tv", "none"])
+def test_steps_after_the_first_allocate_no_large_array(monkeypatch, pool,
+                                                       plan, penalty):
+    # each graph spans three row blocks. The traced memory may grow by less
+    # than m n / 2 doubles in any step after the first, checkpoints aside;
+    # a step that allocates its lifted residual grows by m n doubles
+    force_plan(monkeypatch, plan)
+    m, n = 300, 260
+    state = small_state(m, n, seed=5, variance=1e-2)
+    rng = make_rng(6)
+    mask = generate_mask(rng, m, n, "random", p=0.5)
+    y = rng.standard_normal(mask.n_observed)
+    lam = 0.0 if penalty == "none" else 0.3
+    cfg = TrainConfig(max_iters=5, log_every=10, lambda_mode="explicit",
+                      lambda_row=lam, lambda_col=lam)
+    chosen = {"frozen": FixedLaplacians.from_state(state),
+              "tv": TvConfig()}.get(penalty)
+    grown, start = [], []
+    real = trainer_mod.forward
+
+    def watched(chain, *args):  # each step starts with its product
+        current, peak = tracemalloc.get_traced_memory()
+        if start:
+            grown.append(peak - start[-1])
+        tracemalloc.reset_peak()
+        start.append(current)
+        return real(chain, *args)
+
+    monkeypatch.setattr(trainer_mod, "forward", watched)
+    tracemalloc.start()
+    try:
+        train(state, mask, y, cfg, penalty=chosen)
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 5
+    assert max(grown[1:]) < 8 * m * n / 2
 
 
 # ---------------------------------------------------------------------------
