@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericOverflow
-from .mat_core import _PLAN, _lanes, _queue, as_matrix
+from .mat_core import _PLAN, _lanes, _queue, _view, as_matrix
 
 __all__ = [
     "RegParam", "LaplacianPair",
@@ -81,19 +81,18 @@ def _row_blocks(m: int) -> list[slice]:
             for i in range(0, m, _GRAPH_BLOCK)]
 
 
-def _exp_scale(W: np.ndarray, ws=None,
-               key=None) -> tuple[float, float, np.ndarray]:
+def _exp_scale(W: np.ndarray, buf=None) -> tuple[float, float, np.ndarray]:
     """(c, s, tail) with c = max W and s = sum(exp(W - c)), summed over
     row blocks, so that E = exp(W - c)/s and log S = c + log s never
     overflow however large W grows; tail is exp(W - c) on the last block,
-    for a sweep to reuse. With a workspace every block is written into its
-    buffer under key."""
+    for a sweep to reuse. With a flat buffer `buf` of a block's size,
+    every block is formed at its start."""
     c = float(W.max())
     s = 0.0
     for blk in _row_blocks(W.shape[0]):
         Wb = W[blk]  # out positional: out=None costs a small call 0.5 us
-        tail = np.subtract(Wb, c, None if ws is None
-                           else ws.take(key, Wb.shape))
+        tail = np.subtract(Wb, c, None if buf is None
+                           else _view(buf, Wb.shape))
         np.exp(tail, out=tail)
         s += float(tail.sum())
     return c, s, tail
@@ -207,19 +206,20 @@ def _laplacian_rows(L_blk, M, out=None) -> np.ndarray:
     if L_blk.shape[0] == L_blk.shape[1] and M.flags.f_contiguous:
         # all of L, and M is X^T: X L skips BLAS's slower transposed
         # operand, which costs a 100 x 100 step about 3% of its graph time
-        if out is None:
-            return (M.T @ L_blk).T
-        return np.matmul(M.T, L_blk, out=out.reshape(M.shape[1], -1)).T
-    return L_blk @ M if out is None else np.matmul(L_blk, M, out=out)
+        return np.matmul(M.T, L_blk, out=None if out is None
+                         else out.reshape(M.shape[1], -1)).T
+    return np.matmul(L_blk, M, out=out)
 
 
-def _fixed_graph_term(L, M, lam: float, out, ws=None) -> float:
+def _fixed_graph_term(L, M, lam: float, out, scratch=None) -> float:
     """tr(M^T L M) for a given L, adding 2 lam L M into out in the row
-    blocks of reg_value_and_grad, so that the two add the same bits."""
+    blocks of reg_value_and_grad, so that the two add the same bits; each
+    block's L M is an array of `scratch` (mat_core._Scratch) when given."""
     R = 0.0
     for blk in _row_blocks(L.shape[0]):
-        LM = _laplacian_rows(L[blk], M, None if ws is None else ws.take(
-            ("blk", 0), (blk.stop - blk.start, M.shape[1])))
+        LM = _laplacian_rows(L[blk], M, None if scratch is None else
+                             scratch.take((blk.stop - blk.start,
+                                           M.shape[1]))[0])
         R += float(np.vdot(M[blk], LM))
         if lam != 0.0:
             LM *= 2.0 * lam  # in place, not into a copy
@@ -227,23 +227,30 @@ def _fixed_graph_term(L, M, lam: float, out, ws=None) -> float:
     return R
 
 
-def _gram(p: RegParam, M, ws):
+def _step_arrays(p: RegParam):
+    """(K, buf) for reg_value_and_grad(p, ..., arrays=...) to write its
+    Gram matrix, which becomes dR/dW, and its first pass into."""
+    return np.empty((p.dim, p.dim)), np.empty(min(p.dim, _GRAPH_BLOCK) * p.dim)
+
+
+def _gram(p: RegParam, M, arrays=None):
     """reg_value_and_grad's Gram matrix M M^T and first pass."""
-    K = None if ws is None else ws.take((id(p), "K"), (p.dim, p.dim))
-    return np.matmul(M, M.T, out=K), _exp_scale(p.W, ws, (id(p), "tail"))
+    K, buf = arrays or (None, None)
+    return np.matmul(M, M.T, out=K), _exp_scale(p.W, buf)
 
 
-def _gram_ahead(p: RegParam, M, ws=None):
-    """For a reg_value_and_grad(p, M, ws=ws) call to come: its Gram matrix
-    and first pass, queued on the worker when a training plan splits this
-    graph (see mat_core._lanes), else None."""
+def _gram_ahead(p: RegParam, M, arrays=None):
+    """For a reg_value_and_grad(p, M, arrays=arrays) call to come: its
+    Gram matrix and first pass, queued on the worker when a training plan
+    splits this graph (see mat_core._lanes), else None."""
     if not (_PLAN.get().graphs and p.dim > _GRAPH_BLOCK):
         return None
-    return _queue(lambda: _gram(p, M, ws))
+    return _queue(lambda: _gram(p, M, arrays))
 
 
 def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
-                       grad: bool = True, ahead=None, ws=None):
+                       grad: bool = True, ahead=None, arrays=None,
+                       scratch=None):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -273,11 +280,12 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     Returns (R, dR/dW), or (R, None) with grad=False. With lam nonzero and
     `out` an array whose rows match M's (out.T for M = X^T), the second
     pass also adds 2 lam L M, the gradient in M of lam R, into `out`.
-    With a workspace `ws` (mat_core._Scratch) the Gram matrix, and so
-    dR/dW, is its buffer for p, and each lane's block arrays are its own
-    "blk" buffer; the bits are the same.
+    With `arrays` from _step_arrays(p) the Gram matrix, and so dR/dW, and
+    the first pass are written into them, and with `scratch`
+    (mat_core._Scratch) each lane's block arrays are its own; the bits are
+    the same.
     """
-    if ws is None:  # train, the caller with a workspace, has checked X
+    if arrays is None:  # train, the caller with arrays, has checked X
         M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
@@ -286,25 +294,20 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     blocks = _row_blocks(p.dim)
     split = _PLAN.get().graphs
     if ahead is None or ahead.cancel():  # not started: form it here
-        K, (c, s, tail) = ((M @ M.T, _exp_scale(W)) if ws is None
-                           else _gram(p, M, ws))
+        K, (c, s, tail) = _gram(p, M, arrays)
     else:
         K, (c, s, tail) = ahead.result()
     d = K.diagonal().copy()
     add = out is not None and lam != 0.0
 
-    scratch = None  # without a workspace numpy allocates each block's arrays
-    if ws is not None:
-        def scratch(blk, i, cols=W.shape[0]):
-            # this lane's block arrays, i blocks of b x dim(p) in: A, E (sum
-            # form), then L M
-            b = blk.stop - blk.start
-            return ws.take("blk", (b, cols), lane=True, at=b * W.shape[0] * i)
-
     def energy_rows(blk):
-        F = (_normalized_exp(W, c, s, blk, scratch and scratch(blk, 1))
-             if sum_form else None)
-        A = _adjacency_rows(p, c, s, blk, F, scratch and scratch(blk, 0))
+        A_out = LM_out = F_out = None  # numpy allocates them without scratch
+        if scratch is not None:
+            b = blk.stop - blk.start
+            A_out, LM_out, F_out = scratch.take(
+                (b, p.dim), (b, M.shape[1]), (b, p.dim if sum_form else 0))
+        F = _normalized_exp(W, c, s, blk, F_out) if sum_form else None
+        A = _adjacency_rows(p, c, s, blk, F, A_out)
         Kb = _sq_distances(K, d, blk)  # K[blk], to become the gradient
         if F is None:
             F = A
@@ -313,8 +316,7 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
             Kb *= F
         if add:
             LM = _laplacian_rows(_laplacian(A, out=A, first=blk.start), M,
-                                 scratch and scratch(blk, 1 + sum_form,
-                                                     M.shape[1]))
+                                 LM_out)
             LM *= 2.0 * lam
             out[blk] += LM
         return r
@@ -329,7 +331,8 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
 
         def subtract_rows(blk):
             E = tail if blk is blocks[-1] else _normalized_exp(
-                W, c, s, blk, scratch and scratch(blk, 0))
+                W, c, s, blk, None if scratch is None else scratch.take(
+                    (blk.stop - blk.start, p.dim))[0])
             E *= R
             K[blk] -= E
 

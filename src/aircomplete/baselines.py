@@ -152,21 +152,22 @@ def svd_impute(Y_partial, mask: SamplingMask, rank: int,
     return work
 
 
-def tv_value_and_grad(X, cfg: TvConfig, ws=None) -> tuple[float, np.ndarray]:
+def tv_value_and_grad(X, cfg: TvConfig,
+                      scratch=None) -> tuple[float, np.ndarray]:
     """Smoothed anisotropic total variation and its gradient.
 
     Each horizontal and vertical neighbor difference d contributes
     sqrt(d^2 + eps^2) - eps, which vanishes with d and is differentiable
-    at d = 0. With a workspace `ws` (mat_core._Scratch) the gradient and
-    the differences are the calling lane's block scratch, with the same
-    bits.
+    at d = 0. With `scratch` (mat_core._Scratch) the gradient and the
+    differences are its arrays, with the same bits; the gradient then
+    holds until the scratch's next take.
     """
     X = as_matrix(X, "X")
     m, n = X.shape
-    if ws is None:
+    if scratch is None:
         grad = np.zeros_like(X)
     else:
-        grad = ws.take(("blk", 0), (m, n))
+        (grad,) = scratch.take((m, n))
         grad.fill(0.0)
     value = 0.0
     every, up, down = slice(None), slice(1, None), slice(None, -1)
@@ -174,9 +175,8 @@ def tv_value_and_grad(X, cfg: TvConfig, ws=None) -> tuple[float, np.ndarray]:
     for shape, hi, lo in (((m, n - 1), (every, up), (every, down)),
                           ((m - 1, n), (up, every), (down, every))):
         d = root = None
-        if ws is not None:
-            d = ws.take(("blk", 0), shape, at=m * n)
-            root = ws.take(("blk", 0), shape, at=2 * m * n)
+        if scratch is not None:  # after the gradient's place
+            _, d, root = scratch.take((m, n), shape, shape)
         d = np.subtract(X[hi], X[lo], d)
         root = np.multiply(d, d, root)
         root += cfg.eps * cfg.eps

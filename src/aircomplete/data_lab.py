@@ -111,6 +111,9 @@ def apply_mask(X, mask: SamplingMask, which: str = "observed",
         # a boolean gather: the complement's flat indices would be large
         if out is None:
             return X[~mask.observed]
+        if out.shape != (mask.n_unobserved,):  # take() checks the other's
+            raise InvalidInput(f"out has shape {out.shape}, expected "
+                               f"({mask.n_unobserved},)")
         at, rows = 0, max(1, (1 << 16) // X.shape[1])  # blocks of rows
         for i in range(0, X.shape[0], rows):
             part = X[i:i + rows][~mask.observed[i:i + rows]]

@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .mat_core import _PAIR_MIN, _PLAN, _lanes, gaussian_matrix, svd
+from .mat_core import (_PAIR_MIN, _PLAN, _lanes, _view, gaussian_matrix,
+                       svd)
 
 __all__ = ["FactorChain", "forward", "initialize", "balance_residuals"]
 
@@ -62,8 +63,20 @@ def _walk(chain: FactorChain):
     return chain.factors[::-1], _rmatmul
 
 
+def _step_shapes(chain: FactorChain):
+    """(products, gradients, Ts): the shapes of forward's products and of
+    factor_grads_from_full's gradients and Ts, each in the order formed.
+    Product i is consumed before gradient L-2-i is formed, and the last
+    gradient is the last T."""
+    facs, mul = _walk(chain)
+    k, rows = min(chain.shape), mul is np.matmul
+    return ([(k, W.shape[1]) if rows else (W.shape[0], k)
+             for W in reversed(facs[:-1])], [W.shape for W in facs[:-1]],
+            [(k, W.shape[0]) if rows else (W.shape[1], k) for W in facs[:-1]])
+
+
 def forward(chain: FactorChain, partials: Optional[list] = None,
-            ws=None) -> np.ndarray:
+            outs: Optional[list] = None) -> np.ndarray:
     """Product of the chain, multiplied from its narrow end.
 
     The association order is fixed so repeated runs are bit-identical.
@@ -74,14 +87,14 @@ def forward(chain: FactorChain, partials: Optional[list] = None,
     lanes, with the same bits. When `partials` is a list, each partial
     product is appended to it before it is multiplied further (the first
     is the end factor itself), for `factor_grads_from_full` to reuse.
-    With a workspace `ws` (mat_core._Scratch) the partials and the
-    product are written into its ("fwd", i) buffers, with the same bits;
-    below _PAIR_MIN as one "half", the whole walk.
+    `outs`, C-ordered arrays of the shapes _step_shapes gives, take the
+    products in place of those arrays (below _PAIR_MIN as one half), with
+    the same bits.
     """
     facs, mul = _walk(chain)
     X = facs[-1]
     m, n = chain.shape
-    if ws is None and m * n < _PAIR_MIN:
+    if outs is None and m * n < _PAIR_MIN:
         for W in reversed(facs[:-1]):
             if partials is not None:
                 partials.append(X)
@@ -89,10 +102,8 @@ def forward(chain: FactorChain, partials: Optional[list] = None,
         return X
     k = min(m, n)
     rows = mul is np.matmul
-    outs = [np.empty(shape) if ws is None else ws.take(("fwd", i), shape)
-            for i, shape in enumerate((m, W.shape[1]) if rows
-                                      else (W.shape[0], n)
-                                      for W in reversed(facs[:-1]))]
+    if outs is None:
+        outs = [np.empty(shape) for shape in _step_shapes(chain)[0]]
 
     def half(cut):
         at = cut if rows else (slice(None), cut)
@@ -107,8 +118,9 @@ def forward(chain: FactorChain, partials: Optional[list] = None,
     return outs[-1]
 
 
-def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
-                           partials: list, ws=None) -> list[np.ndarray]:
+def factor_grads_from_full(chain: FactorChain, G: np.ndarray, partials: list,
+                           grad_outs: Optional[list] = None,
+                           t_bufs=None) -> list[np.ndarray]:
     """Chain-rule gradients of sum(G * X) w.r.t. each factor, X the product.
 
     For m <= n the gradient of factor l is suf(l+1)^T T(l), with
@@ -118,37 +130,28 @@ def factor_grads_from_full(chain: FactorChain, G: np.ndarray,
     that `forward(chain, partials)` appended; they must come from the
     same factors, not yet updated. Each is popped once used, so the list
     is empty afterwards. The pass costs 2L - 2 products and returns
-    C-contiguous gradients. Under a training plan with pairs (see
-    mat_core._lanes) each gradient and the next T are formed on two lanes.
-    With a workspace `ws` holding G and `forward`'s arrays, each gradient
-    takes the buffer of the product or partial consumed before it, and
-    the Ts alternate between the caller's block scratch and G's buffer.
+    C-contiguous gradients. With `grad_outs`, C-ordered arrays of the
+    gradient shapes _step_shapes gives, and `t_bufs`, two flat buffers,
+    each gradient but the last is written into its array and the Ts
+    alternately into the buffers, the first T into t_bufs[0]; under a
+    training plan with pairs (see mat_core._lanes) each gradient and the
+    next T are then formed on two lanes. The bits are the same.
     """
     facs, mul = _walk(chain)
-    pairs = _PLAN.get().pairs
     grads = []
     T = G
-    for W in facs[:-1]:
+    for j, W in enumerate(facs[:-1]):
         P = partials.pop()
-        if ws is None and not pairs:  # the small callers' path, kept lean
+        if grad_outs is None:  # allocating, on one lane
             grads.append(mul(P.T, T))
             T = mul(T, W.T)
             continue
-        if ws is None:
-            grad, T_out = np.empty(W.shape), None  # the factor's shape
-        else:
-            j = len(grads)
-            grad = ws.take(("fwd", len(facs) - 2 - j), W.shape)
-            T_out = ws.take("G" if j % 2 else ("blk", 0),
-                            (T.shape[0], W.shape[0]) if mul is np.matmul
-                            else (W.shape[1], T.shape[1]))
-        if pairs:
-            T, _ = _lanes(lambda args: mul(*args),
-                          ((T, W.T, T_out), (P.T, T, grad)), True)
-        else:
-            mul(P.T, T, grad)
-            T = mul(T, W.T, T_out)
-        grads.append(grad)
+        shape = ((T.shape[0], W.shape[0]) if mul is np.matmul
+                 else (W.shape[1], T.shape[1]))
+        T, _ = _lanes(lambda args: mul(*args),
+                      ((T, W.T, _view(t_bufs[j % 2], shape)),
+                       (P.T, T, grad_outs[j])), _PLAN.get().pairs)
+        grads.append(grad_outs[j])
     grads.append(T)
     if facs is not chain.factors:
         grads.reverse()

@@ -198,37 +198,34 @@ def _lanes(fn, items, split: bool) -> list:
     return out
 
 
-class _Scratch(dict):
-    """The step arrays of one `train` call, kept from step to step.
+class _Scratch:
+    """The kernels' temporaries in one `train` call, one buffer per lane
+    of _lanes, kept from step to step.
 
-    take(key, shape) is a C-ordered view of the flat buffer under key,
-    `at` entries in, replaced by a larger buffer when it does not fit, so
-    from the second step on nothing is allocated. lane=True keys it by the
-    lane of _lanes, and both lanes' buffers grow together while a plan
-    splits. Arrays whose lifetimes do not overlap share a key: ("fwd", i)
-    holds forward's partials and product, then the factor gradients; "G"
-    a checkpoint's unobserved entries, the lifted residual, then every
-    other T of the gradient chain; ("blk", lane) each lane's graph-block
-    scratch, on lane 0 also the frozen terms' and TV's, then the other Ts;
-    (id(p), "K") a graph's Gram matrix, which becomes its W-gradient.
+    take(*shapes) lays C-ordered arrays of those shapes end to end from
+    the start of the calling lane's buffer; they hold until that lane's
+    next take, so a kernel keeps them only for the length of its call.
+    A buffer too small is replaced, and while a plan splits the other
+    lane's grows with it, so that the first step fills both. Lane 0's
+    starts with `size` entries, for the caller to lend between kernels.
     """
 
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()  # both lanes may grow a buffer
+    def __init__(self, size: int = 0):
+        self.bufs = [np.empty(size), np.empty(0)]
+        self._lock = threading.Lock()  # either lane may grow both
 
-    def take(self, key, shape, at=0, dtype=np.float64, lane=False):
-        end = at + math.prod(shape)
-        if lane:
-            me = _LANE.get()
-            if me or any(_PLAN.get()):
-                self._fit((key, 1 - me), end, dtype)
-            key = (key, me)
-        return self._fit(key, end, dtype)[at:end].reshape(shape)
-
-    def _fit(self, key, size, dtype):
+    def take(self, *shapes, dtype=np.float64) -> list:
+        ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        size = -(-ends[-1] * np.dtype(dtype).itemsize // 8)
+        me = _LANE.get()
         with self._lock:
-            buf = self.get(key)
-            if buf is None or buf.size < size or buf.dtype != dtype:
-                buf = self[key] = np.empty(size, dtype)
-            return buf
+            for lane in (me, 1 - me) if me or any(_PLAN.get()) else (me,):
+                if self.bufs[lane].size < size:
+                    self.bufs[lane] = np.empty(size)
+            buf = self.bufs[me].view(dtype)
+        return [buf[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """The first entries of the flat buffer buf, as a C-ordered array."""
+    return buf[:math.prod(shape)].reshape(shape)

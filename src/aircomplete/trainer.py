@@ -21,6 +21,7 @@ the other exits.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -28,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .air_reg import (RegParam, _fixed_graph_term, _gram_ahead,
-                      reg_value_and_grad)
+                      _step_arrays, reg_value_and_grad)
 from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
-from .dmf import FactorChain, factor_grads_from_full, forward
+from .dmf import FactorChain, _step_shapes, factor_grads_from_full, forward
 from .errors import DivergenceError, InvalidInput, NumericOverflow
 from .mat_core import (_PAIR_MIN, _PLAN, _Plan, _Scratch, _lanes, _planned,
-                       as_matrix, svd)
+                       _view, as_matrix, svd)
 
 __all__ = [
     "TrainConfig", "ModelState", "MetricTrace",
@@ -200,8 +201,7 @@ def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False,
     if mask.n_unobserved == 0:
         raise InvalidInput("nmae needs at least one unobserved entry")
     truth_obs, truth_un = gt.split(mask)
-    diff_obs = apply_mask(X, mask)
-    diff_obs -= truth_obs
+    diff_obs = apply_mask(X, mask) - truth_obs
     diff_un = apply_mask(X, mask, "unobserved", out)
     diff_un -= truth_un
     mse_obs = float(diff_obs @ diff_obs) / mask.n_observed
@@ -232,39 +232,39 @@ def _row_chunks(a: np.ndarray) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, a.shape[0], rows)]
 
 
-def adam_step(params, grads, moments, t: int, cfg: TrainConfig, ws=None):
+def adam_step(params, grads, moments, t: int, cfg: TrainConfig,
+              scratch=None):
     """One bias-corrected update, in place. moments is (m_list, v_list).
 
     Evaluates the textbook expression p -= lr (m/c1) / (sqrt(v/c2) + eps)
     in its usual operation order, so the bits match it. Each parameter is
     swept in blocks of whole rows of about _ADAM_BLOCK entries (views for
-    any layout), through two scratch buffers of one block each (each
-    lane's "adam" buffer of the workspace `ws` when given), so every
-    operand is read from cache after its first touch and no full-size
-    temporary is allocated. Under a training plan with pairs (see
-    mat_core._lanes) two lanes share out tasks of _LANE_TASK entries.
+    any layout), through two scratch buffers of one block each (arrays of
+    `scratch`, a mat_core._Scratch, when given), so every operand is read
+    from cache after its first touch and no full-size temporary is
+    allocated. Under a training plan with pairs (see mat_core._lanes) two
+    lanes share out tasks of _LANE_TASK entries.
     """
     if t < 1:
         raise InvalidInput("adam step count starts at 1")
-    ws = _Scratch() if ws is None else ws
+    scratch = _Scratch() if scratch is None else scratch
     ms, vs = moments
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    _lanes(lambda item: _adam_update([item], c1, c2, cfg, ws),
+    _lanes(lambda item: _adam_update([item], c1, c2, cfg, scratch),
            [[a[chunk] for a in item] for item in zip(params, grads, ms, vs)
             for chunk in _row_chunks(item[0])], _PLAN.get().pairs)
     return params, moments
 
 
-def _adam_update(items, c1: float, c2: float, cfg: TrainConfig, ws):
+def _adam_update(items, c1: float, c2: float, cfg: TrainConfig, scratch):
     """adam_step's update of each (p, g, m, v) in items, with the bias
     corrections c1 and c2 of its step."""
     b1, b2 = cfg.beta1, cfg.beta2
     for p_all, g_all, m_all, v_all in items:
         n_rows, cols = p_all.shape
         rows = max(1, _ADAM_BLOCK // cols)
-        buf_a, buf_b = ws.take("adam", (2, min(rows, n_rows) * cols),
-                               lane=True)
+        buf_a, buf_b = scratch.take((2, min(rows, n_rows) * cols))[0]
         for i in range(0, n_rows, rows):
             blk = slice(i, i + rows)
             p, g, m, v = p_all[blk], g_all[blk], m_all[blk], v_all[blk]
@@ -293,11 +293,12 @@ class Adam:
         self.moments = ([np.zeros_like(p) for p in self.params],
                         [np.zeros_like(p) for p in self.params])
         self.t = 0
-        self.ws = _Scratch()
+        self.scratch = _Scratch()
 
     def step(self, grads):
         self.t += 1
-        adam_step(self.params, grads, self.moments, self.t, self.cfg, self.ws)
+        adam_step(self.params, grads, self.moments, self.t, self.cfg,
+                  self.scratch)
 
 
 class GradientDescent:
@@ -314,75 +315,87 @@ class GradientDescent:
 # regularizer strategies for the shared loop
 
 class _NoReg:
-    """The zero penalty, and the base of the others. compute(X, G, ws)
-    gives (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into
-    G in place (_NoReg adds nothing and hands G back); values(X, ws) gives
-    (Rr, Rc) alone, for the last trace row. ws is train's workspace
-    (mat_core._Scratch), or None to allocate."""
+    """The zero penalty, and the base of the others. compute(X, G) gives
+    (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into G in
+    place (_NoReg adds nothing and hands G back); values(X, G) gives
+    (Rr, Rc) alone, for the last trace row, with G (allocated when None)
+    left undefined. The others take their temporaries from `scratch`
+    (mat_core._Scratch) when given."""
 
     w_params = ()
 
-    def compute(self, X, G, ws=None):
+    def compute(self, X, G):
         return 0.0, 0.0, G, ()
 
-    def values(self, X, ws=None):
-        # G's contents are discarded, so the workspace's need no zeroing
-        G = np.zeros_like(X) if ws is None else ws.take("G", X.shape)
-        return self.compute(X, G, ws)[:2]
+    def values(self, X, G=None):
+        return self.compute(X, np.zeros_like(X) if G is None else G)[:2]
 
 
 class _AdaptiveReg(_NoReg):
     def __init__(self, reg_row: RegParam, reg_col: RegParam,
-                 lam_r: float, lam_c: float):
+                 lam_r: float, lam_c: float, scratch=None):
         self.reg_row = reg_row
         self.reg_col = reg_col
         self.lam_r = lam_r
         self.lam_c = lam_c
         self.w_params = (reg_row.W, reg_col.W)
+        self.scratch = scratch
+        # with scratch, each graph's Gram matrix, which becomes its
+        # W-gradient, and first pass, kept from step to step
+        self.arrays = ((None, None) if scratch is None
+                       else (_step_arrays(reg_row), _step_arrays(reg_col)))
 
-    def compute(self, X, G, ws=None):
+    def compute(self, X, G):
         # the column graph's Gram is formed on the worker beside the row
         # graph's passes; G still takes the row term first
-        ahead = _gram_ahead(self.reg_col, X.T, ws)
+        ahead = _gram_ahead(self.reg_col, X.T, self.arrays[1])
         Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G,
-                                     ws=ws)
+                                     arrays=self.arrays[0],
+                                     scratch=self.scratch)
         Rc, gWc = reg_value_and_grad(self.reg_col, X.T, lam=self.lam_c,
-                                     out=G.T, ahead=ahead, ws=ws)
+                                     out=G.T, ahead=ahead,
+                                     arrays=self.arrays[1],
+                                     scratch=self.scratch)
         gWr *= self.lam_r
         gWc *= self.lam_c
         return Rr, Rc, G, (gWr, gWc)
 
-    def values(self, X, ws=None):
+    def values(self, X, G=None):
         # compute()'s energies by the same sweep, without any gradient
-        ahead = _gram_ahead(self.reg_col, X.T, ws)
-        return (reg_value_and_grad(self.reg_row, X, grad=False, ws=ws)[0],
+        (rows, cols), scratch = self.arrays, self.scratch
+        ahead = _gram_ahead(self.reg_col, X.T, cols)
+        return (reg_value_and_grad(self.reg_row, X, grad=False, arrays=rows,
+                                   scratch=scratch)[0],
                 reg_value_and_grad(self.reg_col, X.T, grad=False,
-                                   ahead=ahead, ws=ws)[0])
+                                   ahead=ahead, arrays=cols,
+                                   scratch=scratch)[0])
 
 
 class _FrozenReg(_NoReg):
-    def __init__(self, Lr, Lc, lam_r: float, lam_c: float):
+    def __init__(self, Lr, Lc, lam_r: float, lam_c: float, scratch=None):
         self.Lr = as_matrix(Lr, "Lr")
         self.Lc = as_matrix(Lc, "Lc")
         self.lam_r = lam_r
         self.lam_c = lam_c
+        self.scratch = scratch
 
-    def compute(self, X, G, ws=None):
+    def compute(self, X, G):
         # the adaptive arm's row blocks, so given its L the bits are its own
-        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G, ws)
-        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T, ws)
+        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G, self.scratch)
+        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T, self.scratch)
         return Rr, Rc, G, ()
 
 
 class _TvReg(_NoReg):
     """Smoothed TV of X weighted by lam, logged in the reg_r column."""
 
-    def __init__(self, cfg: TvConfig, lam: float):
+    def __init__(self, cfg: TvConfig, lam: float, scratch=None):
         self.cfg = cfg
         self.lam = lam
+        self.scratch = scratch
 
-    def compute(self, X, G, ws=None):
-        value, grad = tv_value_and_grad(X, self.cfg, ws)
+    def compute(self, X, G):
+        value, grad = tv_value_and_grad(X, self.cfg, self.scratch)
         grad *= self.lam
         G += grad
         return value, 0.0, G, ()
@@ -425,13 +438,27 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     trace row for `it`. The last state is evaluated for its values only,
     and its product is handed back as trace.X. Where a second CPU would
     idle, the steps split two ways (see _two_way_plan) with the same bits.
-    Every step writes its arrays into one workspace (mat_core._Scratch),
-    which the first step fills.
+    The steps write their arrays into buffers made once per call, and the
+    kernels take their temporaries from one mat_core._Scratch, which the
+    first step fills.
     """
     chain = state.chain
     m, n = chain.shape
     if isinstance(penalty, FixedLaplacians):
         penalty.check_shape(m, n)
+    # Arrays whose lifetimes do not overlap share memory: product i's
+    # buffer then carries factor gradient L-2-i, formed once the product
+    # is consumed; G's holds a checkpoint's unobserved entries, the lifted
+    # residual, then every other T of the gradient chain; the scratch's
+    # lane 0 lends the first T and every other one after it
+    prods, grad_shapes, ts = _step_shapes(chain)
+    bufs = [np.empty(max(map(math.prod, shapes)))
+            for shapes in zip(prods, reversed(grad_shapes))]
+    outs = [_view(b, shape) for b, shape in zip(bufs, prods)]
+    grad_outs = [_view(b, shape) for b, shape in zip(bufs[::-1], grad_shapes)]
+    G_buf = np.empty(max([m * n] + [math.prod(t) for t in ts[1::2]]))
+    lifted = _view(G_buf, (m, n))
+    scratch = _Scratch(max(map(math.prod, ts[::2])))
     if cfg.lambda_mode == "paper_auto":
         lam_r, lam_c = auto_lambda(y_obs, m, n)
     else:
@@ -441,11 +468,13 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     if lam_r == 0 and lam_c == 0:
         strategy = _NoReg()
     elif isinstance(penalty, TvConfig):
-        strategy = _TvReg(penalty, lam_r)
+        strategy = _TvReg(penalty, lam_r, scratch)
     elif penalty is None:
-        strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c)
+        strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c,
+                                scratch)
     else:
-        strategy = _FrozenReg(penalty.L_r, penalty.L_c, lam_r, lam_c)
+        strategy = _FrozenReg(penalty.L_r, penalty.L_c, lam_r, lam_c,
+                              scratch)
 
     y = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = mask.n_observed
@@ -467,19 +496,18 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
               else GroundTruth.from_matrix(ground_truth))
 
     trace = MetricTrace(n_sigma=cfg.track_singular_values)
-    ws = _Scratch()
+    diff_buf = np.empty(n_obs)
 
-    def finite(a, key="scan", lane=True):
-        return np.isfinite(a, out=ws.take(key, a.shape, dtype=bool,
-                                          lane=lane)).all()
+    def finite(a):
+        return np.isfinite(a, out=scratch.take(a.shape, dtype=bool)[0]).all()
 
     def scores(X):
         # a checkpoint's (mse_unobs, nmae, sigmas), taken before lift fills
         # G's buffer, which holds the unobserved entries meanwhile
         mse_un = nm = None
         if gt is not None:
-            G = ws.take("G", (m * n,))[:mask.n_unobserved]
-            _, mse_un, nm = metrics(X, gt, mask, False, G)
+            _, mse_un, nm = metrics(X, gt, mask, False,
+                                    G_buf[:mask.n_unobserved])
         sig = ()
         if cfg.track_singular_values:
             s = svd(X, compute_uv=False)
@@ -502,11 +530,11 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     with _planned(plan):
         for it in range(cfg.max_iters + 1):
             partials = []
-            X = forward(chain, partials, ws)
-            if not finite(X, "finite", False):
+            X = forward(chain, partials, outs)
+            if not finite(X):
                 # factors can stay finite while their product overflows
                 raise failed(DivergenceError(it + 1, "estimate"))
-            diff = apply_mask(X, mask, "observed", ws.take("diff", y.shape))
+            diff = apply_mask(X, mask, "observed", diff_buf)
             diff -= y
             sq = float(diff @ diff)
             last = it == cfg.max_iters
@@ -518,11 +546,11 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
             row = scores(X) if logged else ()
             try:
                 if last:
-                    Rr, Rc = strategy.values(X, ws)
+                    Rr, Rc = strategy.values(X, lifted)
                 else:
                     # the X-gradient is added into the lifted residual
                     Rr, Rc, G, w_grads = strategy.compute(
-                        X, lift(diff, mask, ws.take("G", (m, n))), ws)
+                        X, lift(diff, mask, lifted))
             except NumericOverflow as err:
                 raise failed(NumericOverflow(
                     f"{err} at iteration {it + 1}")) from err
@@ -549,9 +577,9 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
             if last:
                 break
 
-            grads = (factor_grads_from_full(chain, G, partials, ws)
-                     + list(w_grads))
-            opt.step(grads)
+            grads = factor_grads_from_full(chain, G, partials, grad_outs,
+                                           (scratch.bufs[0], G_buf))
+            opt.step(grads + list(w_grads))
             ok = _lanes(finite, scan, plan.pairs)
             if not all(ok):  # name the first parameter scanned false
                 j = owner[ok.index(False)]

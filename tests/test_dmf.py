@@ -1,15 +1,15 @@
 """Factor chain, factor gradients, and initialization schemes."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask, lift
-from aircomplete.dmf import (FactorChain, balance_residuals,
+from aircomplete.dmf import (FactorChain, _step_shapes, balance_residuals,
                              factor_grads_from_full, forward, initialize)
 from aircomplete.errors import InvalidInput
-from aircomplete.mat_core import (_PAIR_MIN, _planned, _Plan, _Scratch,
-                                  make_rng)
+from aircomplete.mat_core import _PAIR_MIN, _planned, _Plan, make_rng
 
 
 def half_sq_error(chain, mask, y):
@@ -183,25 +183,27 @@ def test_forward_halves_keep_their_bits_on_one_lane(pool, m, n):
 
 
 @pytest.mark.parametrize("m, n", [(1024, 1030), (1030, 1024)])
-def test_halves_and_pairs_into_a_workspace_keep_their_bits(pool, m, n):
-    # a first chain fills the workspace; a second, written over the first's
-    # arrays, must come out as the allocating calls give it
-    ws = _Scratch()
+def test_halves_and_pairs_into_given_arrays_keep_their_bits(pool, m, n):
+    # a first chain fills the arrays; a second, written over the first's,
+    # must come out as the allocating calls give it on one lane
     G = make_rng(10).standard_normal((m, n))
+    prods, grad_shapes, ts = _step_shapes(
+        initialize(m, n, 3, r=8, rng=make_rng(0)))
+    outs = [np.empty(s) for s in prods]
+    grad_outs = [np.empty(s) for s in grad_shapes]
+    t_bufs = [np.empty(max(map(math.prod, ts))) for _ in "ab"]
     for seed in (11, 12):
         chain = initialize(m, n, 3, r=8, scheme="gaussian",
                            rng=make_rng(seed), variance=0.5)
+        alloc, given = [], []
+        X0 = forward(chain, alloc)
         with _planned(_Plan(True, True)):
-            alloc, buffered = [], []
-            X0, X1 = forward(chain, alloc), forward(chain, buffered, ws)
-            for a, b in zip([X0] + alloc, [X1] + buffered):
-                assert np.array_equal(a, b)
-            G1 = ws.take("G", (m, n))
-            G1[...] = G
-            grads = zip(factor_grads_from_full(chain, G, alloc),
-                        factor_grads_from_full(chain, G1, buffered, ws))
-            for a, b in grads:
-                assert np.array_equal(a, b) and b.flags.c_contiguous
+            X1 = forward(chain, given, outs)
+            assert all(map(np.array_equal, [X0] + alloc, [X1] + given))
+            grads1 = factor_grads_from_full(chain, G, given, grad_outs,
+                                            t_bufs)
+        for a, b in zip(factor_grads_from_full(chain, G, alloc), grads1):
+            assert np.array_equal(a, b) and b.flags.c_contiguous
     assert pool.submitted > 0
 
 

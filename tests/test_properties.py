@@ -1,7 +1,9 @@
 """Property tests of the graph energy and its W-gradient over random shapes,
 both parameterizations, and inputs with duplicated rows, of the adjacency
-under a constant shift of W, of the step kernels writing into a workspace,
+under a constant shift of W, of the step kernels writing into given arrays,
 and of the PGM reader and the config loader on generated input."""
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from aircomplete.baselines import TvConfig, tv_value_and_grad  # noqa: E402
 from aircomplete.cli import default_config, load_config  # noqa: E402
 from aircomplete.data_lab import (GroundTruth, apply_mask,  # noqa: E402
                                   generate_mask, lift, read_pgm, write_pgm)
-from aircomplete.dmf import (factor_grads_from_full, forward,  # noqa: E402
-                             initialize)
+from aircomplete.dmf import (_step_shapes,  # noqa: E402
+                             factor_grads_from_full, forward, initialize)
 from aircomplete.errors import (InvalidInput, NumericOverflow,  # noqa: E402
                                 ParseError)
 from aircomplete.mat_core import (_planned, _Plan, _Scratch,  # noqa: E402
@@ -126,14 +128,24 @@ def same(a, b):
 
 @settings(max_examples=40, deadline=None)
 @given(step_shapes())
-def test_workspace_calls_keep_the_allocating_calls_bits(case):
-    # two rounds of new inputs through one workspace: an un-zeroed G, an
-    # old Gram matrix or block left in a buffer would show in the second
+def test_calls_into_given_arrays_keep_the_allocating_calls_bits(case):
+    # two rounds of new inputs through one set of arrays and one scratch,
+    # against the allocating calls on one lane: an un-zeroed G, an old
+    # Gram matrix or block left in a buffer would show in the second
     m, n, L, r, form, block, plan, seed = case
     rng = make_rng(seed)
-    ws, lam = _Scratch(), 0.3
+    scratch, lam = _Scratch(), 0.3
     saved, air_reg._GRAPH_BLOCK = air_reg._GRAPH_BLOCK, block
     try:
+        prods, grad_shapes, ts = _step_shapes(
+            initialize(m, n, L, r, rng=make_rng(0)))
+        outs = [np.empty(s) for s in prods]
+        grad_outs = [np.empty(s) for s in grad_shapes]
+        t_bufs = [np.empty(max(m * n, *map(math.prod, ts))) for _ in "ab"]
+        arrays = [air_reg._step_arrays(RegParam(np.zeros((k, k))))
+                  for k in (m, n)]
+        diff_buf, G1 = np.empty(m * n), t_bufs[1][:m * n].reshape(m, n)
+        cfg = trainer.TrainConfig()
         for _ in range(2):
             chain = initialize(m, n, L, r, rng=rng, variance=1.0)
             mask = generate_mask(rng, m, n, "random", p=0.4)
@@ -141,54 +153,64 @@ def test_workspace_calls_keep_the_allocating_calls_bits(case):
             gt = GroundTruth.from_matrix(rng.standard_normal((m, n)))
             graphs = [RegParam(rng.normal(scale=0.7, size=(k, k)), form)
                       for k in (m, n)]
+            Ls = [air_reg.build_laplacian(p).L for p in graphs]
+            params = [[a.copy() for a in chain.factors] for _ in "ab"]
+            moments = [([np.ones_like(a) for a in chain.factors],
+                        [np.ones_like(a) for a in chain.factors])
+                       for _ in "ab"]
+            # the allocating calls
+            p0 = []
+            X0 = forward(chain, p0)
+            products = [X0] + p0
+            d0 = apply_mask(X0, mask)
+            scores = trainer.metrics(X0, gt, mask)
+            G0 = lift(d0 - y, mask)
+            lifted = G0.copy()
+            regs = [reg_value_and_grad(p, M, lam=lam, out=out)
+                    for p, M, out in zip(graphs, (X0, X0.T), (G0, G0.T))]
+            H0 = G0.copy()
+            frozen = trainer._FrozenReg(*Ls, lam, lam).compute(X0, H0)[:2]
+            tv = tv_value_and_grad(X0, TvConfig())
+            grads0 = (factor_grads_from_full(chain, G0, p0)
+                      + [gW for _, gW in regs])
+            trainer.adam_step(params[0], grads0[:L], moments[0], 3, cfg)
+            # the same calls into the arrays and the scratch, under the plan
             with _planned(plan):
-                p0, p1 = [], []
-                X0, X1 = forward(chain, p0), forward(chain, p1, ws)
-                assert all(map(same, [X0] + p0, [X1] + p1))
+                p1 = []
+                X1 = forward(chain, p1, outs)
+                assert all(map(same, products, [X1] + p1))
                 d1 = apply_mask(X1, mask, "observed",
-                                ws.take("diff", y.shape))
-                assert same(apply_mask(X0, mask), d1)
-                assert trainer.metrics(X0, gt, mask) == trainer.metrics(
-                    X1, gt, mask, False,
-                    ws.take("G", (m * n,))[:mask.n_unobserved])
-                G0, G1 = lift(d1 - y, mask), lift(d1 - y, mask,
-                                                  ws.take("G", (m, n)))
-                assert same(G0, G1)
-                K0, K1 = [], []
-                for p, M0, M1, out0, out1 in zip(graphs, (X0, X0.T),
-                                                 (X1, X1.T), (G0, G0.T),
-                                                 (G1, G1.T)):
-                    ahead = air_reg._gram_ahead(p, M1, ws)
-                    R0, gW0 = reg_value_and_grad(p, M0, lam=lam, out=out0)
-                    R1, gW1 = reg_value_and_grad(p, M1, lam=lam, out=out1,
-                                                 ahead=ahead, ws=ws)
+                                diff_buf[:mask.n_observed])
+                assert same(d0, d1)
+                assert scores == trainer.metrics(
+                    X1, gt, mask, False, t_bufs[1][:mask.n_unobserved])
+                d1 -= y
+                assert same(lifted, lift(d1, mask, G1))
+                K1 = []
+                for p, M, out, arr, (R0, gW0) in zip(
+                        graphs, (X1, X1.T), (G1, G1.T), arrays, regs):
+                    ahead = air_reg._gram_ahead(p, M, arr)
+                    R1, gW1 = reg_value_and_grad(p, M, lam=lam, out=out,
+                                                 ahead=ahead, arrays=arr,
+                                                 scratch=scratch)
                     assert R0 == R1 and same(gW0, gW1)
-                    K0.append(gW0.copy())
                     K1.append(gW1)
                 assert same(G0, G1)
-                frozen = trainer._FrozenReg(
-                    *[air_reg.build_laplacian(p).L for p in graphs], lam, lam)
-                H0, H1 = G0.copy(), G1.copy()
-                assert (frozen.compute(X0, H0)[:2]
-                        == frozen.compute(X1, H1, ws)[:2])
+                H1 = G1.copy()
+                assert frozen == trainer._FrozenReg(
+                    *Ls, lam, lam, scratch).compute(X1, H1)[:2]
                 assert same(H0, H1)
-                v0, t0 = tv_value_and_grad(X0, TvConfig())
-                v1, t1 = tv_value_and_grad(X1, TvConfig(), ws)
-                assert v0 == v1 and same(t0, t1)
-                grads0 = factor_grads_from_full(chain, G0, p0) + K0
-                grads1 = factor_grads_from_full(chain, G1, p1, ws) + K1
+                v1, t1 = tv_value_and_grad(X1, TvConfig(), scratch)
+                assert tv[0] == v1 and same(tv[1], t1)
+                # the first T is not written over G, which it is formed from
+                grads1 = factor_grads_from_full(chain, G1, p1, grad_outs,
+                                                t_bufs) + K1
                 assert all(map(same, grads0, grads1))
-                cfg = trainer.TrainConfig()
-                params = [[a.copy() for a in chain.factors] for _ in "ab"]
-                moments = [([np.ones_like(a) for a in chain.factors],
-                            [np.ones_like(a) for a in chain.factors])
-                           for _ in "ab"]
-                trainer.adam_step(params[0], grads0[:L], moments[0], 3, cfg)
                 trainer.adam_step(params[1], grads1[:L], moments[1], 3, cfg,
-                                  ws)
-                for a, b in zip(params[0] + moments[0][0] + moments[0][1],
-                                params[1] + moments[1][0] + moments[1][1]):
-                    assert same(a, b)
+                                  scratch)
+            for a, b in zip(params[0] + moments[0][0] + moments[0][1],
+                            params[1] + moments[1][0] + moments[1][1]):
+                assert same(a, b)
     finally:
         air_reg._GRAPH_BLOCK = saved
 

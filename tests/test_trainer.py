@@ -784,22 +784,22 @@ def test_split_step_keeps_its_bits_under_rapid_thread_switches(monkeypatch,
     assert pool.submitted == 20 * 5
 
 
-def test_workspace_lanes_keep_their_bits_under_rapid_thread_switches(pool):
-    # both lanes grow and write their block scratch in one workspace, first
+def test_scratch_lanes_keep_their_bits_under_rapid_thread_switches(pool):
+    # both lanes grow and write their block arrays in one scratch, first
     # fresh, then reused; a switch every microsecond interleaves them
     rng = make_rng(75)
-    reg = trainer_mod._AdaptiveReg(
-        RegParam(gaussian_matrix(rng, 300, 300), "sum_form"),
-        RegParam(gaussian_matrix(rng, 260, 260)), 0.3, 0.7)
+    graphs = (RegParam(gaussian_matrix(rng, 300, 300), "sum_form"),
+              RegParam(gaussian_matrix(rng, 260, 260)))
     X = rng.standard_normal((300, 260))
-    Rr, Rc, G, (gWr, gWc) = reg.compute(X, np.zeros((300, 260)))
-    ws = _Scratch()
+    Rr, Rc, G, (gWr, gWc) = trainer_mod._AdaptiveReg(
+        *graphs, 0.3, 0.7).compute(X, np.zeros((300, 260)))
+    reg = trainer_mod._AdaptiveReg(*graphs, 0.3, 0.7, _Scratch())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             with _planned(_Plan(graphs=True)):
-                got = reg.compute(X, np.zeros((300, 260)), ws)
+                got = reg.compute(X, np.zeros((300, 260)))
             assert got[:2] == (Rr, Rc)
             for a, b in zip((got[2], *got[3]), (G, gWr, gWc)):
                 assert np.array_equal(a, b)
@@ -920,7 +920,7 @@ def test_split_divergence_is_reported_alike(monkeypatch, pool, optimizer, lr,
 
 
 # ---------------------------------------------------------------------------
-# the step workspace
+# the step arrays, made once per train call
 
 @pytest.mark.parametrize("plan", [_Plan(), _Plan(True, True)])
 @pytest.mark.parametrize("penalty", ["air", "frozen", "tv", "none"])
