@@ -43,6 +43,17 @@ def test_apply_mask_shape_and_selector_errors():
         apply_mask(np.zeros((2, 2)), diag_mask(), "nonsense")
 
 
+def test_apply_mask_unobserved_out_must_fit_exactly():
+    # a longer out would keep stale entries past the gathered ones
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out = np.full(2, np.nan)
+    assert apply_mask(X, diag_mask(), "unobserved", out) is out
+    assert np.array_equal(out, [2, 3])
+    for size in (1, 3):
+        with pytest.raises(InvalidInput):
+            apply_mask(X, diag_mask(), "unobserved", np.zeros(size))
+
+
 def test_sampling_adjoint_identity():
     # <A(X), v> = <X, A*(v)> for the zero-fill adjoint
     rng = make_rng(2)
