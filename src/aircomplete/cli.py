@@ -13,6 +13,7 @@ in .pgm, which writes image data back as 8-bit P5.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -23,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import theory_lab, trainer
+from . import _csv_rows, theory_lab, trainer
 from .air_reg import (_PARAMETERIZATIONS, RegParam, build_laplacian,
                       dirichlet_energy, grad_wrt_X, reg_value_and_grad)
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
@@ -34,7 +35,8 @@ from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
 from .dmf import factor_grads_from_full, initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
-from .mat_core import finite_difference_grad, gaussian_matrix, make_rng
+from .mat_core import (_PAIR_MIN, _second_cpu_idle, finite_difference_grad,
+                       gaussian_matrix, make_rng)
 from .trainer import MetricTrace, ModelState, TrainConfig, train
 
 __all__ = ["main", "run_complete", "run_sweep", "run_verify", "default_config"]
@@ -167,21 +169,41 @@ def _is_pgm(path: str) -> bool:
     return str(path).lower().endswith(".pgm")
 
 
-_CSV_BLOCK_ROWS = 64
-
-
 def write_matrix_csv(path, X):
     """One line per row, each value as "%.17g" (round-trips float64).
 
     Rows are formatted in blocks with one `%` operation each, which
-    writes the same bytes as formatting value by value, faster.
+    writes the same bytes as formatting value by value, faster. From
+    _PAIR_MIN entries, where a second CPU would idle, a helper process
+    formats the lower half meanwhile, by the same function (see _csv_rows).
+    It is always reaped, killed first if this half fails; a helper that
+    fails or hands back too few rows raises OSError here.
     """
     X = np.atleast_2d(X)
-    line = ",".join(["%.17g"] * X.shape[1]) + "\n"
+    rows, cols = X.shape
+    split = X.size >= _PAIR_MIN and rows > 1 and _second_cpu_idle()
+    top = (rows + 1) // 2 if split else rows
     with open(path, "w", newline="") as f:
-        for i in range(0, X.shape[0], _CSV_BLOCK_ROWS):
-            block = X[i:i + _CSV_BLOCK_ROWS]
-            f.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        if not split:
+            f.writelines(_csv_rows.csv_blocks(X.ravel(), rows, cols))
+            return
+        import subprocess  # here: its import adds 7 ms to every run's start
+        with subprocess.Popen(
+                [sys.executable, "-I", "-S", _csv_rows.__file__, str(cols)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE) as helper:
+            try:
+                # a helper that stops reading is reported by its status
+                with contextlib.suppress(BrokenPipeError), helper.stdin:
+                    helper.stdin.write(np.ascontiguousarray(X[top:], float))
+                f.writelines(_csv_rows.csv_blocks(X[:top].ravel(), top, cols))
+                text = helper.stdout.read()
+            except BaseException:
+                helper.kill()
+                raise
+        if helper.returncode or text.count(b"\n") != rows - top:
+            raise OSError(f"{path}: the helper formatting rows {top + 1}-"
+                          f"{rows} failed (status {helper.returncode})")
+        f.write(text.decode("ascii"))
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -11,6 +11,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -139,6 +140,14 @@ _PLAN = contextvars.ContextVar("aircomplete_plan", default=_Plan())
 _POOL = None  # the one worker, started by the first split (main thread)
 # the lane a context runs: 0 the caller's, 1 the worker's (see _queue)
 _LANE = contextvars.ContextVar("aircomplete_lane", default=0)
+
+
+def _second_cpu_idle() -> bool:
+    """Whether the process may use two CPUs and this is the main thread
+    (the arms of an AIR_THREADS sweep already use both)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    return cpus >= 2 and threading.current_thread() is threading.main_thread()
 
 
 @contextlib.contextmanager

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
 from .dmf import FactorChain, _step_shapes, factor_grads_from_full, forward
 from .errors import DivergenceError, InvalidInput, NumericOverflow
 from .mat_core import (_PAIR_MIN, _PLAN, _Plan, _Scratch, _lanes, _planned,
-                       _view, as_matrix, svd)
+                       _second_cpu_idle, _view, as_matrix, svd)
 
 __all__ = [
     "TrainConfig", "ModelState", "MetricTrace",
@@ -307,8 +306,10 @@ class GradientDescent:
         self.lr = cfg.lr
 
     def step(self, grads):
+        # g is train's buffer; scaled in place, the same product is taken
         for p, g in zip(self.params, grads):
-            p -= self.lr * g
+            g *= self.lr
+            p -= g
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +404,13 @@ class _TvReg(_NoReg):
 
 def _two_way_plan(m: int, n: int) -> _Plan:
     """The split of train's steps, fixed once per call. It is on only
-    where a second CPU would idle: the process may use two CPUs, BLAS is
-    pinned to one thread (a threaded BLAS already uses them) and this is
-    the main thread (the arms of an AIR_THREADS sweep already do). Then a
-    graph splits when it spans several row blocks, and the pairs from
-    _PAIR_MIN entries of X."""
+    where a second CPU would idle: BLAS is pinned to one thread (a
+    threaded BLAS already uses them) and mat_core._second_cpu_idle().
+    Then a graph splits when it spans several row blocks, and the pairs
+    from _PAIR_MIN entries of X."""
     blas = (os.environ.get("OPENBLAS_NUM_THREADS")
             or os.environ.get("OMP_NUM_THREADS"))
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else 1)
-    if (blas != "1" or cpus < 2
-            or threading.current_thread() is not threading.main_thread()):
+    if blas != "1" or not _second_cpu_idle():
         return _Plan()
     return _Plan(graphs=True, pairs=m * n >= _PAIR_MIN)
 

@@ -2,6 +2,7 @@
 runs pinned to one BLAS thread, through a fresh interpreter."""
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import aircomplete
-from aircomplete import cli, trainer
+from aircomplete import _csv_rows, cli, trainer
 from aircomplete.air_reg import RegParam
 from aircomplete.baselines import FixedLaplacians
 from aircomplete.cli import main
@@ -661,6 +662,127 @@ def test_write_matrix_csv_matches_per_value_writer(tmp_path):
         cli.write_matrix_csv(a, M)
         per_value_csv(b, M)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the split writer: a helper process formats the lower rows from 2^20 entries
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+           5e-324, -2.5e-310]
+
+
+@pytest.fixture()
+def helpers(monkeypatch):
+    """The processes started through subprocess.Popen, which runs them;
+    set .program to run `python -I -S -c program` in place of each."""
+    real = subprocess.Popen
+
+    class Started(list):
+        program = None
+
+    started = Started()
+
+    def counted(args, **kwargs):
+        if started.program is not None:
+            args = [sys.executable, "-I", "-S", "-c", started.program]
+        started.append(real(args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    return started
+
+
+def force_split(monkeypatch, on):
+    monkeypatch.setattr(cli, "_second_cpu_idle", lambda: on)
+
+
+@pytest.mark.parametrize("shape", [(1025, 1025), (1, 1 << 20),
+                                   ((1 << 20) + 1, 1)],
+                         ids=["odd-rows", "one-row", "one-column"])
+def test_split_writer_matches_per_value_writer(tmp_path, monkeypatch,
+                                               helpers, shape):
+    # the special values sit in the first rows and in the last, in both
+    # halves; a single row cannot split
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    X.ravel()[:len(SPECIAL)] = SPECIAL
+    X.ravel()[-len(SPECIAL):] = SPECIAL
+    files = tmp_path / "split.csv", tmp_path / "one.csv", tmp_path / "ref.csv"
+    force_split(monkeypatch, True)
+    cli.write_matrix_csv(files[0], X)
+    assert len(helpers) == (shape[0] > 1)
+    force_split(monkeypatch, False)
+    cli.write_matrix_csv(files[1], X)
+    assert len(helpers) == (shape[0] > 1)
+    assert [h.returncode for h in helpers] == [0] * len(helpers)
+    per_value_csv(files[2], X)
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert files[0].read_bytes() == files[2].read_bytes()
+
+
+@pytest.mark.parametrize("program", [
+    "import sys; sys.stdin.buffer.read(); sys.exit(3)",
+    "import sys; sys.stdin.buffer.read(); print('0')",
+    "import sys; sys.exit(0)",  # reads nothing
+], ids=["exits-nonzero", "short-output", "reads-nothing"])
+def test_split_writer_reports_a_failing_helper(tmp_path, monkeypatch,
+                                               helpers, program):
+    force_split(monkeypatch, True)
+    helpers.program = program
+    path = tmp_path / "out.csv"
+    with pytest.raises(OSError, match="out.csv.*helper"):
+        cli.write_matrix_csv(path, np.zeros((1024, 1024)))
+    assert len(helpers) == 1 and helpers[0].returncode is not None
+
+
+def test_split_writer_kills_the_helper_when_its_own_half_fails(
+        tmp_path, monkeypatch, helpers):
+    # a helper that would sleep for a minute after reading is killed, and
+    # reaped, as soon as the third block of this process's half fails
+    real = _csv_rows.csv_blocks
+
+    def failing(*args):
+        for k, text in enumerate(real(*args)):
+            if k == 2:
+                raise OSError("no space left")
+            yield text
+
+    monkeypatch.setattr(_csv_rows, "csv_blocks", failing)
+    force_split(monkeypatch, True)
+    helpers.program = "import sys, time; sys.stdin.buffer.read(); " \
+                      "time.sleep(60)"
+    with pytest.raises(OSError, match="no space left"):
+        cli.write_matrix_csv(tmp_path / "out.csv", np.ones((1024, 1024)))
+    assert len(helpers) == 1 and helpers[0].returncode == -signal.SIGKILL
+
+
+def test_no_helper_on_one_cpu(two_cpus, tmp_path, monkeypatch, helpers):
+    X = np.ones((1024, 1024))
+    cli.write_matrix_csv(tmp_path / "two.csv", X)
+    assert len(helpers) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cli.write_matrix_csv(tmp_path / "one.csv", X)
+    assert len(helpers) == 1
+    assert ((tmp_path / "one.csv").read_bytes()
+            == (tmp_path / "two.csv").read_bytes())
+
+
+def test_no_helper_in_a_sweep_arm_on_threads(two_cpus, small_problem,
+                                             tmp_path, monkeypatch, helpers):
+    # with the threshold at one entry, each arm's recovered matrix splits
+    # on the main thread, and in an arm of an AIR_THREADS sweep does not
+    monkeypatch.setattr(cli, "_PAIR_MIN", 1)
+    truth, mask = small_problem
+    outs = tmp_path / "serial", tmp_path / "threads"
+    for out in outs:
+        out.mkdir()
+    assert run(*sweep_args(truth, mask, outs[0], "2,3")) == 0
+    assert len(helpers) == 2
+    monkeypatch.setenv("AIR_THREADS", "2")
+    assert run(*sweep_args(truth, mask, outs[1], "2,3")) == 0
+    assert len(helpers) == 2
+    for name in ("recovered_depth2.csv", "recovered_depth3.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_divergence_exits_two_with_partial_trace(small_problem, tmp_path,

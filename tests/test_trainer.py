@@ -923,9 +923,13 @@ def test_split_divergence_is_reported_alike(monkeypatch, pool, optimizer, lr,
 # the step arrays, made once per train call
 
 @pytest.mark.parametrize("plan", [_Plan(), _Plan(True, True)])
-@pytest.mark.parametrize("penalty", ["air", "frozen", "tv", "none"])
+@pytest.mark.parametrize("penalty, optimizer", [
+    (penalty, optimizer) for optimizer in ("adam", "gd")
+    for penalty in ("air", "frozen", "tv", "none")], ids=[
+    "air", "frozen", "tv", "none", "air-gd", "frozen-gd", "tv-gd", "none-gd"])
 def test_steps_after_the_first_allocate_no_large_array(monkeypatch, pool,
-                                                       plan, penalty):
+                                                       plan, penalty,
+                                                       optimizer):
     # each graph spans three row blocks. The traced memory may grow by less
     # than m n / 2 doubles in any step after the first, checkpoints aside;
     # a step that allocates its lifted residual grows by m n doubles
@@ -936,8 +940,8 @@ def test_steps_after_the_first_allocate_no_large_array(monkeypatch, pool,
     mask = generate_mask(rng, m, n, "random", p=0.5)
     y = rng.standard_normal(mask.n_observed)
     lam = 0.0 if penalty == "none" else 0.3
-    cfg = TrainConfig(max_iters=5, log_every=10, lambda_mode="explicit",
-                      lambda_row=lam, lambda_col=lam)
+    cfg = TrainConfig(optimizer=optimizer, max_iters=5, log_every=10,
+                      lambda_mode="explicit", lambda_row=lam, lambda_col=lam)
     chosen = {"frozen": FixedLaplacians.from_state(state),
               "tv": TvConfig()}.get(penalty)
     grown, start = [], []
