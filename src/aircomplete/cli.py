@@ -13,7 +13,6 @@ in .pgm, which writes image data back as 8-bit P5.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import json
 import os
@@ -24,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _csv_rows, theory_lab, trainer
+from . import theory_lab, trainer
 from .air_reg import (_PARAMETERIZATIONS, RegParam, build_laplacian,
                       dirichlet_energy, grad_wrt_X, reg_value_and_grad)
 from .baselines import (FixedLaplacians, TvConfig, knn_impute, svd_impute,
@@ -35,8 +34,8 @@ from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
 from .dmf import factor_grads_from_full, initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
-from .mat_core import (_PAIR_MIN, _second_cpu_idle, finite_difference_grad,
-                       gaussian_matrix, make_rng)
+from .mat_core import (_PAIR_MIN, _lanes, _second_cpu_idle,
+                       finite_difference_grad, gaussian_matrix, make_rng)
 from .trainer import MetricTrace, ModelState, TrainConfig, train
 
 __all__ = ["main", "run_complete", "run_sweep", "run_verify", "default_config"]
@@ -169,41 +168,134 @@ def _is_pgm(path: str) -> bool:
     return str(path).lower().endswith(".pgm")
 
 
+# write_matrix_csv's entries a task on two lanes (long numpy calls, few lock
+# handoffs), tasks a batch, and entries a task on one lane or a compress
+# call: 2^20 entries peak at 6.3 MB traced on two lanes and 0.6 MB on one
+_CSV_CHUNK, _CSV_BATCH, _CSV_PIECE = 1 << 14, 8, 1 << 11
+_U, _LO32 = np.uint64, np.uint64(0xFFFFFFFF)
+_POW5 = np.array([5 ** k for k in range(28)], _U)
+
+
+def _g17_tables():
+    """By k = 16 - decimal exponent X: _g17_csv's last layout word but its
+    digits, and at row k * 34 + negative * 17 + digits - 1, the bytes kept."""
+    X = 16 - np.arange(28)[:, None, None, None]
+    neg, nsig = np.arange(2)[:, None, None], np.arange(1, 18)[:, None]
+    pos, digit = np.arange(40), np.full(40, 99)  # the digit at a byte, or 99
+    digit[6:28:2], digit[28:34] = range(11), range(11, 17)
+    dot = np.roll(np.where(digit < 11, digit, 99), 1)  # the "." after it
+    sci = X < -4
+    keep = ((pos == 0) & (neg == 1)
+            | (1 <= pos) & (pos <= 1 - X) & (-4 <= X) & (X < 0)  # "0.00"
+            | (digit < np.maximum(nsig, X + 1))
+            | (dot == np.where(sci, 0, X)) & (nsig > np.where(sci, 1, X + 1))
+            | (34 <= pos) & (pos < 38) & sci  # "e-XX"
+            | (pos == 38))
+    last = [int.from_bytes(f"00e-{abs(x):02d},\0".encode(), "little")
+            for x in X.ravel()]
+    return np.array(last, _U), keep.reshape(-1, 40)
+
+
+_G17_LAST, _G17_KEEP = _g17_tables()
+
+
+def _g17_csv(v, ends):
+    """The text "%.17g," of each float64 of v, "\\n" for the "," after
+    the entries at the indices `ends`, as uint8 pieces; None if a value is
+    neither 0 nor in 1e-11 <= |x| < 1e11, or its 17 digits leave [1e16,
+    1e17) at the exponent log10 suggests (checked, never trusted).
+
+    Exact, as in Ryu printf (Adams, OOPSLA 2019): with |x| = m 2^(E-1075)
+    and k = 16 - floor(log10 |x|) in [6, 27], the digits m 5^k / 2^s,
+    s = 1075 - E - k, are rounded half to even by the exact remainder of
+    a 128-bit product of 32-bit limbs; SWAR spreads them a byte each into
+    40 bytes, "-0.000" d0 "." d1 "." ... d10 "." d11-d16 "e-XX" "," pad,
+    of which a value keeps those of a row of _G17_KEEP."""
+    a, zero = np.abs(v), v == 0
+    if sys.byteorder != "little" or not (
+            (a >= 1e-11) & (a < 1e11) | zero).all():
+        return None
+    a += zero  # 0 as 1, whose leading digit is taken back below
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 6, 27)
+    s = (1075 - k - (a.view(np.int64) >> 52)).astype(_U)
+    m = ((a.view(_U) & _U(2 ** 52 - 1)) | _U(2 ** 52)).view(np.uint32)
+    f = _POW5.take(k).view(np.uint32)  # m f = hi 2^64 + lo, by 32-bit limbs
+    lo = np.multiply(m[::2], f[::2], dtype=_U)
+    mid = np.multiply(m[::2], f[1::2], dtype=_U)
+    hi = np.multiply(m[1::2], f[1::2], dtype=_U) + (mid >> _U(32))
+    f = np.multiply(m[1::2], f[::2], dtype=_U)
+    mid = (mid & _LO32) + (f & _LO32) + (lo >> _U(32))
+    hi += (f >> _U(32)) + (mid >> _U(32))
+    lo = (mid << _U(32)) | (lo & _LO32)
+    q = (hi << (_U(64) - s)) | (lo >> s)  # numpy shifts by >= 64 give 0,
+    ok = ((hi >> s) == 0) & (q >= _U(10 ** 16))  # so a wrong k fails here
+    lo &= (_U(1) << s) - _U(1)  # the remainder, against half of 2^s:
+    s = _U(1) << (s - _U(1))
+    q += (lo > s) | ((lo == s) & ((q & _U(1)) == 1))
+    if not (ok & (q < _U(10 ** 17))).all():
+        return None
+    del a, m, f, lo, mid, hi, s, ok  # bound the memory of two lanes
+    d0, q = np.divmod(q, _U(10 ** 16))
+    z = np.stack(np.divmod(q, _U(10 ** 8)))  # two halves of 8 digits
+    t = (z * _U(3518437209)) >> _U(45)  # // 10^4
+    z = t | ((z - t * _U(10 ** 4)) << _U(32))
+    t = ((z * _U(10486)) >> _U(20)) & _U(0x7F0000007F)  # // 100 a lane
+    z = t | ((z - t * _U(100)) << _U(16))
+    t = ((z * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)  # // 10 a lane
+    z = t | ((z - t * _U(10)) << _U(8))  # a digit a byte, the first lowest
+    t = (np.frexp(z)[1] + 7) >> 3  # bytes up to the last nonzero digit
+    key = np.where(t[1] > 0, t[1] + 8, t[0]) + k * 34 + np.signbit(v) * 17
+    t = np.stack((z[0] & _LO32, z[0] >> _U(32), z[1] & _U(0xFFFF)))
+    t = (t | (t << _U(16))) & _U(0x0000FFFF0000FFFF)
+    t = (t | (t << _U(8))) & _U(0x00FF00FF00FF00FF)  # every other byte
+    w = np.empty((v.size, 5), _U)
+    w[:, 0] = ((d0 - zero) << _U(48)) | _U(0x2E303030302E302D)
+    w[:, 1:3] = (t[:2] | _U(0x2E302E302E302E30)).T
+    w[:, 3] = t[2] | (z[1] >> _U(16) << _U(32)) | _U(0x303030302E302E30)
+    w[:, 4] = (z[1] >> _U(48)) | _G17_LAST.take(k)
+    del d0, z, t, k
+    w = w.view(np.uint8)
+    w[ends, 38] = ord("\n")
+    return [np.compress(_G17_KEEP.take(key[i:i + _CSV_PIECE], axis=0).ravel(),
+                        w[i:i + _CSV_PIECE].ravel())
+            for i in range(0, v.size, _CSV_PIECE)]
+
+
 def write_matrix_csv(path, X):
     """One line per row, each value as "%.17g" (round-trips float64).
 
-    Rows are formatted in blocks with one `%` operation each, which
-    writes the same bytes as formatting value by value, faster. From
-    _PAIR_MIN entries, where a second CPU would idle, a helper process
-    formats the lower half meanwhile, by the same function (see _csv_rows).
-    It is always reaped, killed first if this half fails; a helper that
-    fails or hands back too few rows raises OSError here.
+    Chunks cut by entry are formatted exactly in integer arithmetic by
+    _g17_csv; a chunk it declines (NaN, inf, subnormals, |x| >= 1e11 or
+    0 < |x| < 1e-11, a failed range check) takes the exact reference, one
+    `%` operation. From _PAIR_MIN entries, where a second CPU would idle,
+    _lanes hands a batch's chunks to two lanes one at a time; batches are
+    written in order. The bytes are format(x, ".17g")'s either way. At
+    943 x 1682 it took 0.31 s on two lanes and 0.58 s on one, against 0.84
+    and 1.29 s for the helper process and block `%` it replaces.
     """
     X = np.atleast_2d(X)
     rows, cols = X.shape
-    split = X.size >= _PAIR_MIN and rows > 1 and _second_cpu_idle()
-    top = (rows + 1) // 2 if split else rows
-    with open(path, "w", newline="") as f:
-        if not split:
-            f.writelines(_csv_rows.csv_blocks(X.ravel(), rows, cols))
-            return
-        import subprocess  # here: its import adds 7 ms to every run's start
-        with subprocess.Popen(
-                [sys.executable, "-I", "-S", _csv_rows.__file__, str(cols)],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE) as helper:
-            try:
-                # a helper that stops reading is reported by its status
-                with contextlib.suppress(BrokenPipeError), helper.stdin:
-                    helper.stdin.write(np.ascontiguousarray(X[top:], float))
-                f.writelines(_csv_rows.csv_blocks(X[:top].ravel(), top, cols))
-                text = helper.stdout.read()
-            except BaseException:
-                helper.kill()
-                raise
-        if helper.returncode or text.count(b"\n") != rows - top:
-            raise OSError(f"{path}: the helper formatting rows {top + 1}-"
-                          f"{rows} failed (status {helper.returncode})")
-        f.write(text.decode("ascii"))
+    flat = np.ravel(X).astype(np.float64, copy=False)
+
+    def text(start):
+        v = flat[start:start + size]
+        ends = np.arange((cols - 1 - start) % cols, v.size, cols)
+        out = _g17_csv(v, ends)
+        if out is None:  # the exact reference
+            out = [bytearray(("%.17g," * v.size) % tuple(v.tolist()), "ascii")]
+            b = np.frombuffer(out[0], np.uint8)
+            b[np.flatnonzero(b == ord(","))[ends]] = ord("\n")
+        return out
+
+    split = flat.size >= _PAIR_MIN and _second_cpu_idle()
+    size, batch = (_CSV_CHUNK, _CSV_BATCH) if split else (_CSV_PIECE, 1)
+    starts = range(0, flat.size, size)
+    with open(path, "wb") as f:
+        if not cols:
+            f.write(b"\n" * rows)
+        for i in range(0, len(starts), batch):
+            for out in _lanes(text, starts[i:i + batch], split):
+                f.writelines(out)
 
 
 def read_matrix_csv(path) -> np.ndarray:

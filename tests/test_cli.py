@@ -2,17 +2,18 @@
 runs pinned to one BLAS thread, through a fresh interpreter."""
 import json
 import os
-import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aircomplete
-from aircomplete import _csv_rows, cli, trainer
+from aircomplete import cli, trainer
 from aircomplete.air_reg import RegParam
 from aircomplete.baselines import FixedLaplacians
 from aircomplete.cli import main
@@ -658,34 +659,139 @@ def test_write_matrix_csv_matches_per_value_writer(tmp_path):
     X[0] = [np.nan, np.inf, -np.inf, -0.0, 1e300, 1e-300, 3.0]
     X[1, :3] = [-1e-300, -1e300, 42.0]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for M in (X, X[:64], X[:1], X[:, :1], X[0]):
+    # empty matrices too: no rows, no columns (one empty line a row)
+    for M in (X, X[:64], X[:1], X[:, :1], X[0], X[:0], X[:3, :0], X[0, :0]):
         cli.write_matrix_csv(a, M)
         per_value_csv(b, M)
         assert a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------
-# the split writer: a helper process formats the lower rows from 2^20 entries
+# the "%.17g" kernel, its exact fallback, and its chunks on two lanes
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 1e300, -1e300, 1e-300, -1e-300,
            5e-324, -2.5e-310]
 
 
+def g17_each(values):
+    """Each value through the kernel alone; it returns the exact text or
+    None (the value takes the block-% reference)."""
+    for x in values:
+        out = cli._g17_csv(np.array([x]), np.array([0]))
+        assert out is None or b"".join(out) == f"{x:.17g}\n".encode()
+
+
+def neighbours(x, ulps=3):
+    """x and the `ulps` floats on each side of it."""
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(ulps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=6))
+def test_csv_values_are_format_17g(tmp_path_factory, values):
+    # NaN and +-inf included: a row through the writer, each value alone
+    # through the kernel
+    g17_each(values)
+    path = tmp_path_factory.getbasetemp() / "g17.csv"
+    cli.write_matrix_csv(path, np.array(values))
+    assert path.read_bytes() == (",".join(format(x, ".17g") for x in values)
+                                 + "\n").encode()
+
+
+def test_csv_kernel_at_powers_of_ten_and_range_edges(tmp_path):
+    values = [y for j in range(-12, 13) for y in neighbours(10.0 ** j)]
+    values += neighbours(1e-11) + neighbours(1e11)
+    values += [0.0, 5e-324, 2.5e-310, np.nextafter(2.2250738585072014e-308, 0)]
+    values += [-x for x in values]
+    g17_each(values)
+    # the ties of the last digit round half to even
+    ties = np.array([12345678901.0078125, 98765432109.9765625, 0.5, 1.5])
+    assert b"".join(cli._g17_csv(ties, np.array([3]))) == \
+        b"12345678901.007812,98765432109.976562,0.5,1.5\n"
+    cli.write_matrix_csv(tmp_path / "a.csv", np.array(values))
+    per_value_csv(tmp_path / "b.csv", np.array(values))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("error", [-10, -5, -1, 1, 5])
+def test_csv_kernel_checks_the_exponent_log10_suggests(monkeypatch, error):
+    # a log10 off by `error` decades costs the fallback, never a digit
+    v = 10.0 ** np.random.default_rng(6).uniform(-11, 11, 1000)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    assert cli._g17_csv(v, np.array([999])) is None
+    g17_each(v)
+
+
+def test_csv_kernel_on_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    fast = X[(np.abs(X) >= 1e-11) & (np.abs(X) < 1e11)]
+    assert fast.size > 1000
+    ends = np.arange(fast.size - 1, fast.size)
+    out = cli._g17_csv(fast, ends)  # all of them on the integer path
+    assert out is not None
+    assert b"".join(out) == (",".join(format(x, ".17g") for x in fast)
+                             + "\n").encode()
+    cli.write_matrix_csv(tmp_path / "a.csv", X.reshape(100, 1000))
+    per_value_csv(tmp_path / "b.csv", X.reshape(100, 1000))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1 << 20), ((1 << 20) + 1, 1),
+                                   (1030, 1021), (300, 300)],
+                         ids=["one-row", "one-column", "straddling-rows",
+                              "one-fallback-value"])
+def test_csv_chunks_match_per_value_writer(tmp_path, monkeypatch, pool, shape):
+    # |x| in [1e-10, 1e10): every chunk on the integer path but one
+    rng = np.random.default_rng(2)
+    X = (rng.uniform(-10, 10, shape) * 10.0 ** rng.integers(-10, 9, shape))
+    X[np.abs(X) < 1e-10] = 1.0
+    if shape == (300, 300):
+        X[100, 7] = 1e300  # its chunk takes the block-% reference
+    files = tmp_path / "split.csv", tmp_path / "one.csv", tmp_path / "ref.csv"
+    force_split(monkeypatch, True)
+    cli.write_matrix_csv(files[0], X)
+    assert (pool.submitted > 0) == (X.size >= cli._PAIR_MIN)
+    submitted = pool.submitted
+    force_split(monkeypatch, False)
+    cli.write_matrix_csv(files[1], X)
+    assert pool.submitted == submitted
+    per_value_csv(files[2], X)
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert files[0].read_bytes() == files[2].read_bytes()
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "one-lane"])
+@pytest.mark.parametrize("shape", [(1024, 1024), (1, 1 << 20)],
+                         ids=["square", "one-row"])
+def test_csv_writer_peaks_below_8_mb(tmp_path, monkeypatch, split, shape):
+    X = np.random.default_rng(3).standard_normal(shape)
+    force_split(monkeypatch, split)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli.write_matrix_csv(tmp_path / "out.csv", X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 @pytest.fixture()
 def helpers(monkeypatch):
-    """The processes started through subprocess.Popen, which runs them;
-    set .program to run `python -I -S -c program` in place of each."""
+    """The processes started through subprocess.Popen."""
     real = subprocess.Popen
+    started = []
 
-    class Started(list):
-        program = None
-
-    started = Started()
-
-    def counted(args, **kwargs):
-        if started.program is not None:
-            args = [sys.executable, "-I", "-S", "-c", started.program]
-        started.append(real(args, **kwargs))
+    def counted(*args, **kwargs):
+        started.append(real(*args, **kwargs))
         return started[-1]
 
     monkeypatch.setattr(subprocess, "Popen", counted)
@@ -699,10 +805,9 @@ def force_split(monkeypatch, on):
 @pytest.mark.parametrize("shape", [(1025, 1025), (1, 1 << 20),
                                    ((1 << 20) + 1, 1)],
                          ids=["odd-rows", "one-row", "one-column"])
-def test_split_writer_matches_per_value_writer(tmp_path, monkeypatch,
-                                               helpers, shape):
-    # the special values sit in the first rows and in the last, in both
-    # halves; a single row cannot split
+def test_split_writer_matches_per_value_writer(tmp_path, monkeypatch, shape):
+    # the special values sit in the first rows and in the last, in the
+    # first chunk and in the last
     rng = np.random.default_rng(1)
     X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     X.ravel()[:len(SPECIAL)] = SPECIAL
@@ -710,77 +815,45 @@ def test_split_writer_matches_per_value_writer(tmp_path, monkeypatch,
     files = tmp_path / "split.csv", tmp_path / "one.csv", tmp_path / "ref.csv"
     force_split(monkeypatch, True)
     cli.write_matrix_csv(files[0], X)
-    assert len(helpers) == (shape[0] > 1)
     force_split(monkeypatch, False)
     cli.write_matrix_csv(files[1], X)
-    assert len(helpers) == (shape[0] > 1)
-    assert [h.returncode for h in helpers] == [0] * len(helpers)
     per_value_csv(files[2], X)
     assert files[0].read_bytes() == files[1].read_bytes()
     assert files[0].read_bytes() == files[2].read_bytes()
 
 
-@pytest.mark.parametrize("program", [
-    "import sys; sys.stdin.buffer.read(); sys.exit(3)",
-    "import sys; sys.stdin.buffer.read(); print('0')",
-    "import sys; sys.exit(0)",  # reads nothing
-], ids=["exits-nonzero", "short-output", "reads-nothing"])
-def test_split_writer_reports_a_failing_helper(tmp_path, monkeypatch,
-                                               helpers, program):
-    force_split(monkeypatch, True)
-    helpers.program = program
-    path = tmp_path / "out.csv"
-    with pytest.raises(OSError, match="out.csv.*helper"):
-        cli.write_matrix_csv(path, np.zeros((1024, 1024)))
-    assert len(helpers) == 1 and helpers[0].returncode is not None
-
-
-def test_split_writer_kills_the_helper_when_its_own_half_fails(
-        tmp_path, monkeypatch, helpers):
-    # a helper that would sleep for a minute after reading is killed, and
-    # reaped, as soon as the third block of this process's half fails
-    real = _csv_rows.csv_blocks
-
-    def failing(*args):
-        for k, text in enumerate(real(*args)):
-            if k == 2:
-                raise OSError("no space left")
-            yield text
-
-    monkeypatch.setattr(_csv_rows, "csv_blocks", failing)
-    force_split(monkeypatch, True)
-    helpers.program = "import sys, time; sys.stdin.buffer.read(); " \
-                      "time.sleep(60)"
-    with pytest.raises(OSError, match="no space left"):
-        cli.write_matrix_csv(tmp_path / "out.csv", np.ones((1024, 1024)))
-    assert len(helpers) == 1 and helpers[0].returncode == -signal.SIGKILL
-
-
-def test_no_helper_on_one_cpu(two_cpus, tmp_path, monkeypatch, helpers):
-    X = np.ones((1024, 1024))
+def test_no_helper_on_one_cpu(two_cpus, small_problem, tmp_path, monkeypatch,
+                              helpers):
+    X = np.random.default_rng(4).standard_normal((1024, 1024))
     cli.write_matrix_csv(tmp_path / "two.csv", X)
-    assert len(helpers) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cli.write_matrix_csv(tmp_path / "one.csv", X)
-    assert len(helpers) == 1
     assert ((tmp_path / "one.csv").read_bytes()
             == (tmp_path / "two.csv").read_bytes())
+    # nor does `complete`, with its recovered matrix on two lanes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_PAIR_MIN", 1)
+    truth, mask = small_problem
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run(*complete_args(truth, mask, out, "--max-iters", 5)) == 0
+    assert helpers == []
 
 
 def test_no_helper_in_a_sweep_arm_on_threads(two_cpus, small_problem,
                                              tmp_path, monkeypatch, helpers):
     # with the threshold at one entry, each arm's recovered matrix splits
-    # on the main thread, and in an arm of an AIR_THREADS sweep does not
+    # on the main thread, and in an arm of an AIR_THREADS sweep does not;
+    # neither starts a process
     monkeypatch.setattr(cli, "_PAIR_MIN", 1)
     truth, mask = small_problem
     outs = tmp_path / "serial", tmp_path / "threads"
     for out in outs:
         out.mkdir()
     assert run(*sweep_args(truth, mask, outs[0], "2,3")) == 0
-    assert len(helpers) == 2
     monkeypatch.setenv("AIR_THREADS", "2")
     assert run(*sweep_args(truth, mask, outs[1], "2,3")) == 0
-    assert len(helpers) == 2
+    assert helpers == []
     for name in ("recovered_depth2.csv", "recovered_depth3.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
