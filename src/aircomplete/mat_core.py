@@ -125,13 +125,9 @@ class _Plan(NamedTuple):
     pairs: bool = False   # the forward halves, factor-gradient pairs, Adam
 
 
-# entries of X from which `forward` multiplies two fixed halves, with or
-# without a second lane, and a training plan splits the pairs. Split on
-# one BLAS thread, the factor gradients and Adam took 0.55x their time at
-# the MovieLens-100K shape (1.6M entries) and 0.62x at 300 x 300 depth 8
-# while the second CPU was free, and 4-10% more while it was busy; the
-# worker's BLAS buffer and malloc arena add 1.8 MB to a 300 x 300 depth-8
-# run's 65 MB peak and 3.9 MB to 308 MB at 1.6M entries
+# entries of X from which `forward` multiplies two fixed halves, whose
+# sums differ from the whole chain's in the last bits (so moving this
+# moves output bits), and the CSV writer hands its chunks to two lanes
 _PAIR_MIN = 1 << 20
 
 # the plan of the running `train` call, scoped like np.errstate; off
@@ -159,15 +155,47 @@ def _planned(plan: _Plan):
         _PLAN.reset(token)
 
 
+def _this_cpu():
+    """The CPU the calling thread runs on (field 39 of its Linux stat),
+    or None where that is unknown."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rpartition(")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _keep_off(cpu):
+    """Restrict the calling thread to the allowed CPUs other than cpu.
+    It stays unpinned where cpu is None, no other CPU is allowed, or the
+    kernel refuses (an allowed CPU may be offline)."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
 def _queue(fn):
     """Future of fn(), run on the one-worker pool once the work queued
     before it drains. fn runs in a copy of the caller's context, so it
     keeps np.errstate but sees the plan off and never queues work itself.
+
+    The worker starts on the allowed CPUs other than the one its first
+    caller runs on (see _keep_off). Where the kernel does not balance
+    load between CPUs, a worker left to it stayed on the caller's CPU
+    beside ~1 ms tasks: in 6 of 6 processes both threads ran on one CPU,
+    and two 300^3 products on two threads took 1.03-1.05x their
+    sequential time, against 0.60-0.66x with the worker pinned.
     """
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=1,
-                                   thread_name_prefix="aircomplete")
+        _POOL = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="aircomplete",
+            initializer=_keep_off, initargs=(_this_cpu(),))
     ctx = contextvars.copy_context()
     ctx.run(_PLAN.set, _Plan())
     ctx.run(_LANE.set, 1)

@@ -222,6 +222,14 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
                                      "260", "--max-iters", "3")
 
 
+def test_outputs_do_not_depend_on_the_cpu_count_at_depth_8(tmp_path):
+    # the factor-gradient pairs and Adam split by their work: 7 pairs whose
+    # Ts alternate between two buffers
+    same_outputs_on_one_and_two_cpus(tmp_path, "--rows", "300", "--cols",
+                                     "300", "--depth", "8", "--reg", "none",
+                                     "--max-iters", "3")
+
+
 def test_outputs_do_not_depend_on_the_cpu_count_from_2_20_entries(tmp_path):
     # from 2^20 entries the forward halves and the factor pairs split too
     same_outputs_on_one_and_two_cpus(tmp_path, "--rows", "1030", "--cols",

@@ -1,7 +1,12 @@
-"""Validation, randomness and SVD checks against independent oracles."""
+"""Validation, randomness and SVD checks against independent oracles,
+and the placement of the worker thread."""
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from aircomplete import mat_core
 from aircomplete.errors import InvalidInput
 from aircomplete.mat_core import (as_matrix, finite_difference_grad,
                                   gaussian_matrix, make_rng, svd)
@@ -111,3 +116,75 @@ def test_svd_values_only_agree_with_the_full_decomposition():
     for bad in (np.zeros(3), np.array([[1.0, np.nan]]), np.zeros((0, 3))):
         with pytest.raises(InvalidInput):
             svd(bad, compute_uv=False)
+
+
+# ---------------------------------------------------------------------------
+# the worker of mat_core._queue
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="needs sched_setaffinity")
+
+
+@pytest.fixture()
+def fresh_worker(monkeypatch):
+    """A pool for mat_core._queue started by the test, shut down after."""
+    monkeypatch.setattr(mat_core, "_POOL", None)
+    yield
+    if mat_core._POOL is not None:
+        mat_core._POOL.shutdown()
+
+
+@needs_affinity
+def test_worker_keeps_off_the_callers_cpu(fresh_worker, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2 or mat_core._this_cpu() is None:
+        pytest.skip("needs two CPUs and /proc/thread-self")
+    seen = []  # the caller's CPU as the pool read it
+    real = mat_core._this_cpu
+    monkeypatch.setattr(mat_core, "_this_cpu",
+                        lambda: seen.append(real()) or seen[-1])
+    worker = mat_core._queue(threading.get_native_id).result()
+    allowed = os.sched_getaffinity(0)
+    assert seen[0] in allowed
+    assert os.sched_getaffinity(worker) == allowed - {seen[0]}
+
+
+@needs_affinity
+def test_worker_runs_unpinned_where_the_pin_is_refused(fresh_worker,
+                                                      monkeypatch):
+    # the only other allowed CPU does not exist, so the kernel refuses
+    refused = []
+    real = os.sched_setaffinity
+
+    def pin(pid, cpus):
+        try:
+            real(pid, cpus)
+        except OSError:
+            refused.append(set(cpus))
+            raise
+
+    monkeypatch.setattr(mat_core, "_this_cpu", lambda: 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 4095})
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    assert mat_core._queue(lambda: 7).result() == 7
+    assert mat_core._queue(lambda: 8).result() == 8
+    assert refused == [{4095}]
+
+
+@pytest.mark.parametrize("where", ["no-setaffinity", "cpu-unknown",
+                                   "one-cpu"])
+def test_worker_is_not_pinned_where_it_cannot_be(fresh_worker, monkeypatch,
+                                                 where):
+    tried = []
+    if where == "no-setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: tried.append(cpus),
+                            raising=False)
+    allowed = {0} if where == "one-cpu" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
+                        raising=False)
+    monkeypatch.setattr(mat_core, "_this_cpu",
+                        lambda: None if where == "cpu-unknown" else 0)
+    assert mat_core._queue(lambda: 7).result() == 7
+    assert tried == []

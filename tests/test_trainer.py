@@ -20,6 +20,7 @@ from aircomplete.dmf import FactorChain, forward, initialize
 from aircomplete.errors import DivergenceError, InvalidInput, NumericOverflow
 from aircomplete.mat_core import (_planned, _Plan, _Scratch, gaussian_matrix,
                                   make_rng)
+from aircomplete import dmf as dmf_mod
 from aircomplete import trainer as trainer_mod
 from aircomplete.trainer import (Adam, MetricTrace, ModelState, TrainConfig,
                                  adam_step, auto_lambda, metrics, train)
@@ -677,26 +678,37 @@ def test_adaptive_regularizer_decreases_from_warm_start():
 # ---------------------------------------------------------------------------
 # two-way split of the step (the pool fixture counts the worker's tasks)
 
+def chain_work(m, n, depth):
+    """_two_way_plan's arguments for a full-width chain."""
+    k = min(m, n)
+    chain = FactorChain([np.empty(s) for s in
+                         [(k, n)] + [(k, k)] * (depth - 2) + [(m, k)]])
+    return k, dmf_mod._step_shapes(chain)[1]
+
+
 def test_plan_splits_only_where_a_second_cpu_would_idle(monkeypatch):
     monkeypatch.setattr(trainer_mod.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     plan = trainer_mod._two_way_plan
-    assert plan(943, 1682) == _Plan()  # BLAS may already use the CPUs
+    ml100k = chain_work(943, 1682, 3)
+    assert plan(*ml100k) == _Plan()  # BLAS may already use the CPUs
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert plan(943, 1682) == _Plan(True, True)
+    assert plan(*ml100k) == _Plan(True, True)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP's
-    assert plan(943, 1682) == _Plan()
+    assert plan(*ml100k) == _Plan()
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert plan(943, 1682) == _Plan(True, True)
-    # the pairs need a large X, graphs split by their own block count
-    assert plan(300, 300) == _Plan(graphs=True)
+    assert plan(*ml100k) == _Plan(True, True)
+    # the pairs split by their work (dmf-deep's chain does, air-small-ckpt's
+    # does not), graphs by their own block count
+    assert plan(*chain_work(300, 300, 8)) == _Plan(True, True)
+    assert plan(*chain_work(100, 100, 3)) == _Plan(graphs=True)
     with ThreadPoolExecutor(max_workers=1) as other:
-        assert other.submit(plan, 943, 1682).result() == _Plan()
+        assert other.submit(plan, *ml100k).result() == _Plan()
     monkeypatch.setattr(trainer_mod.os, "sched_getaffinity",
                         lambda pid: {0})
-    assert plan(943, 1682) == _Plan()
+    assert plan(*ml100k) == _Plan()
 
 
 def force_plan(monkeypatch, plan):
