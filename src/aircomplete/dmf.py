@@ -13,8 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .mat_core import (_PAIR_MIN, _PLAN, _lanes, _view, gaussian_matrix,
-                       svd)
+from .mat_core import _PLAN, _lanes, _view, gaussian_matrix, svd
 
 __all__ = ["FactorChain", "forward", "initialize", "balance_residuals"]
 
@@ -75,32 +74,49 @@ def _step_shapes(chain: FactorChain):
             [(k, W.shape[0]) if rows else (W.shape[1], k) for W in facs[:-1]])
 
 
+# multiply-adds in a step's smallest product, min(m, n) times the size of
+# the smallest gradient, from which forward cuts its halves (whose sums
+# differ from the whole chain's in the last bits) and a plan splits pairs.
+# Pinned worker, BLAS on one thread, s x s chains of width s, no penalty:
+# a step with both split took this share of its time with neither (median
+# of 8 steps, alternating in one process; range over four processes).
+# Depth 8 gains from s = 200, depth 3 not reliably; the measure has no depth
+#   s          100         160         200         256         300
+#   depth 3    1.43-1.85   1.05-1.31   0.68-1.13   0.48-0.80   0.52-0.92
+#   depth 8                0.58-1.02   0.53-0.77   0.62-0.78   0.60-0.73
+_PAIR_WORK = 1 << 24
+
+
+def _two_way(k: int, grad_shapes) -> bool:
+    return k * min(a * b for a, b in grad_shapes) >= _PAIR_WORK
+
+
 def forward(chain: FactorChain, partials: Optional[list] = None,
             outs: Optional[list] = None) -> np.ndarray:
     """Product of the chain, multiplied from its narrow end.
 
     The association order is fixed so repeated runs are bit-identical.
-    From _PAIR_MIN entries the walk's narrow dimension (the rows for
+    Where _two_way holds, the walk's narrow dimension (the rows for
     m <= n, else the columns) is cut into two fixed halves, each carried
-    through the whole chain into arrays allocated up front; under a
-    training plan with pairs (see mat_core._lanes) the halves run on two
-    lanes, with the same bits. When `partials` is a list, each partial
-    product is appended to it before it is multiplied further (the first
-    is the end factor itself), for `factor_grads_from_full` to reuse.
-    `outs`, C-ordered arrays of the shapes _step_shapes gives, take the
-    products in place of those arrays (below _PAIR_MIN as one half), with
-    the same bits.
+    through the whole chain; under a training plan with pairs (see
+    mat_core._lanes) they run on two lanes. When `partials` is a list,
+    each partial product is appended to it before it is multiplied
+    further (the first is the end factor itself), for
+    `factor_grads_from_full` to reuse. `outs`, C-ordered arrays of the
+    shapes _step_shapes gives, take the products (without halves as one
+    half) in place of arrays allocated here. The bits are the same.
     """
     facs, mul = _walk(chain)
     X = facs[-1]
-    m, n = chain.shape
-    if outs is None and m * n < _PAIR_MIN:
+    k = min(chain.shape)
+    split = (k * facs[0].size >= _PAIR_WORK  # a bound, cheap for small chains
+             and _two_way(k, [W.shape for W in facs[:-1]]))
+    if outs is None and not split:
         for W in reversed(facs[:-1]):
             if partials is not None:
                 partials.append(X)
             X = mul(X, W)
         return X
-    k = min(m, n)
     rows = mul is np.matmul
     if outs is None:
         outs = [np.empty(shape) for shape in _step_shapes(chain)[0]]
@@ -111,7 +127,7 @@ def forward(chain: FactorChain, partials: Optional[list] = None,
         for W, out in zip(reversed(facs[:-1]), outs):
             Y = mul(Y, W, out=out[at])
 
-    _lanes(half, (slice(0, k // 2), slice(k // 2, k)) if m * n >= _PAIR_MIN
+    _lanes(half, (slice(0, k // 2), slice(k // 2, k)) if split
            else (slice(0, k),), _PLAN.get().pairs)
     if partials is not None:
         partials += [X] + outs[:-1]

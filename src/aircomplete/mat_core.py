@@ -125,9 +125,7 @@ class _Plan(NamedTuple):
     pairs: bool = False   # the forward halves, factor-gradient pairs, Adam
 
 
-# entries of X from which `forward` multiplies two fixed halves, whose
-# sums differ from the whole chain's in the last bits (so moving this
-# moves output bits), and the CSV writer hands its chunks to two lanes
+# entries of X from which the CSV writer hands its chunks to two lanes
 _PAIR_MIN = 1 << 20
 
 # the plan of the running `train` call, scoped like np.errstate; off

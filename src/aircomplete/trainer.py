@@ -31,7 +31,8 @@ from .air_reg import (RegParam, _fixed_graph_term, _gram_ahead,
                       _step_arrays, reg_value_and_grad)
 from .baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from .data_lab import GroundTruth, SamplingMask, apply_mask, lift
-from .dmf import FactorChain, _step_shapes, factor_grads_from_full, forward
+from .dmf import (FactorChain, _step_shapes, _two_way, factor_grads_from_full,
+                  forward)
 from .errors import DivergenceError, InvalidInput, NumericOverflow
 from .mat_core import (_PLAN, _Plan, _Scratch, _lanes, _planned,
                        _second_cpu_idle, _view, as_matrix, svd)
@@ -402,34 +403,19 @@ class _TvReg(_NoReg):
         return value, 0.0, G, ()
 
 
-# multiply-adds of the smallest product in a factor-gradient pair from
-# which a training plan splits the pairs; both products of the pair for
-# factor l take min(m, n) times its size. Pinned worker, BLAS on one
-# thread, an s x s chain of width s without penalty: a step with the
-# pairs split took this share of its unsplit time (median of 8 steps,
-# alternating in one process; the range is over two to four processes)
-#   s          100         160         200         256         300
-#   depth 3    1.46-1.51   1.01-1.21   0.96-1.26   0.82-1.00   0.82-1.06
-#   depth 8                0.86-1.11   0.79-0.88               0.74-0.85
-# Two lone s^3 products on two lanes took 1.10-1.28x their sequential
-# time at s = 100, 0.84-1.08x at 128, 0.68-0.81x at 160, 0.61x at 300
-_PAIR_WORK = 1 << 24
-
-
 def _two_way_plan(k: int, grad_shapes) -> _Plan:
     """The split of train's steps, fixed once per call, for a chain
     whose narrow side is k = min(m, n) and whose factor gradients have
     the shapes grad_shapes (dmf._step_shapes). It is on only where a
     second CPU would idle: BLAS is pinned to one thread (a threaded BLAS
     already uses them) and mat_core._second_cpu_idle(). Then a graph
-    splits when it spans several row blocks, and the pairs when the
-    smallest pair product has _PAIR_WORK multiply-adds."""
+    splits when it spans several row blocks, and forward's halves (cut by
+    shape alone), the pairs and Adam run on two where dmf._two_way holds."""
     blas = (os.environ.get("OPENBLAS_NUM_THREADS")
             or os.environ.get("OMP_NUM_THREADS"))
     if blas != "1" or not _second_cpu_idle():
         return _Plan()
-    return _Plan(graphs=True, pairs=k * min(map(math.prod, grad_shapes))
-                 >= _PAIR_WORK)
+    return _Plan(graphs=True, pairs=_two_way(k, grad_shapes))
 
 
 # a diverging run overflows in many places; the loop checks X, the

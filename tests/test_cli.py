@@ -223,15 +223,17 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_cpu_count_at_depth_8(tmp_path):
-    # the factor-gradient pairs and Adam split by their work: 7 pairs whose
-    # Ts alternate between two buffers
+    # forward's halves, the factor-gradient pairs and Adam split by their
+    # work: the halves of 7 products, and 7 pairs whose Ts alternate
+    # between two buffers
     same_outputs_on_one_and_two_cpus(tmp_path, "--rows", "300", "--cols",
                                      "300", "--depth", "8", "--reg", "none",
                                      "--max-iters", "3")
 
 
 def test_outputs_do_not_depend_on_the_cpu_count_from_2_20_entries(tmp_path):
-    # from 2^20 entries the forward halves and the factor pairs split too
+    # from 2^20 entries the CSV writer splits, and the graphs do; a chain of
+    # width 8 has too little work for forward's halves or the factor pairs
     same_outputs_on_one_and_two_cpus(tmp_path, "--rows", "1030", "--cols",
                                      "1024", "--width", "8", "--max-iters",
                                      "2")

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from aircomplete.data_lab import SamplingMask, apply_mask, generate_mask, lift
-from aircomplete.dmf import (FactorChain, _step_shapes, balance_residuals,
-                             factor_grads_from_full, forward, initialize)
+from aircomplete.dmf import (FactorChain, _step_shapes, _two_way,
+                             balance_residuals, factor_grads_from_full,
+                             forward, initialize)
 from aircomplete.errors import InvalidInput
-from aircomplete.mat_core import _PAIR_MIN, _planned, _Plan, make_rng
+from aircomplete.mat_core import _planned, _Plan, make_rng
 
 
 def half_sq_error(chain, mask, y):
@@ -160,13 +161,14 @@ def test_forward_with_partials_keeps_its_bits():
             assert X.flags.c_contiguous
 
 
-# from _PAIR_MIN entries the rows (m <= n) or the columns (m > n) of the
+# where the smallest product has 2^24 multiply-adds (dmf._two_way), as at
+# 256 x 256 and depth 3, the rows (m <= n) or the columns (m > n) of the
 # walk are multiplied in two fixed halves
-@pytest.mark.parametrize("m, n", [(1024, 1030), (1030, 1024)])
+@pytest.mark.parametrize("m, n", [(256, 256), (256, 260), (260, 256)])
 def test_forward_halves_keep_their_bits_on_one_lane(pool, m, n):
-    assert m * n >= _PAIR_MIN
-    chain = initialize(m, n, 3, r=8, scheme="gaussian", rng=make_rng(9),
+    chain = initialize(m, n, 3, scheme="gaussian", rng=make_rng(9),
                        variance=0.5)
+    assert _two_way(min(m, n), _step_shapes(chain)[1])
     runs = []
     for plan in (_Plan(), _Plan(True, True)):
         with _planned(plan):
@@ -182,19 +184,19 @@ def test_forward_halves_keep_their_bits_on_one_lane(pool, m, n):
     assert np.abs(runs[0][0] - whole).max() <= 1e-14 * np.abs(whole).max()
 
 
-@pytest.mark.parametrize("m, n", [(1024, 1030), (1030, 1024)])
+@pytest.mark.parametrize("m, n", [(256, 260), (260, 256)])
 def test_halves_and_pairs_into_given_arrays_keep_their_bits(pool, m, n):
     # a first chain fills the arrays; a second, written over the first's,
     # must come out as the allocating calls give it on one lane
     G = make_rng(10).standard_normal((m, n))
-    prods, grad_shapes, ts = _step_shapes(
-        initialize(m, n, 3, r=8, rng=make_rng(0)))
+    prods, grad_shapes, ts = _step_shapes(initialize(m, n, 3, rng=make_rng(0)))
+    assert _two_way(min(m, n), grad_shapes)
     outs = [np.empty(s) for s in prods]
     grad_outs = [np.empty(s) for s in grad_shapes]
     t_bufs = [np.empty(max(map(math.prod, ts))) for _ in "ab"]
     for seed in (11, 12):
-        chain = initialize(m, n, 3, r=8, scheme="gaussian",
-                           rng=make_rng(seed), variance=0.5)
+        chain = initialize(m, n, 3, scheme="gaussian", rng=make_rng(seed),
+                           variance=0.5)
         alloc, given = [], []
         X0 = forward(chain, alloc)
         with _planned(_Plan(True, True)):
@@ -207,15 +209,20 @@ def test_halves_and_pairs_into_given_arrays_keep_their_bits(pool, m, n):
     assert pool.submitted > 0
 
 
-# one entry short of _PAIR_MIN: the whole chain, association order included
-@pytest.mark.parametrize("m, n", [(1023, 1024), (1024, 1023)])
-def test_forward_below_the_halves_keeps_the_whole_products_bits(m, n):
-    assert m * n == _PAIR_MIN - 1024
-    W0, W1, W2 = initialize(m, n, 3, r=8, scheme="gaussian",
-                            rng=make_rng(10), variance=0.5).factors
+# below the halves the whole chain, association order included: full-width
+# chains a row short of 256 x 256, and width-8 chains of a million entries
+# or more, whose products are thin however many entries they have
+@pytest.mark.parametrize("m, n", [(255, 256), (256, 255), (1023, 1024),
+                                  (1024, 1023), (1030, 1024), (2048, 2100)])
+def test_forward_below_the_halves_keeps_the_whole_products_bits(pool, m, n):
+    chain = initialize(m, n, 3, r=None if m < 1000 else 8, scheme="gaussian",
+                       rng=make_rng(10), variance=0.5)
+    assert not _two_way(min(m, n), _step_shapes(chain)[1])
+    W0, W1, W2 = chain.factors
     whole = (W2 @ W1) @ W0 if m <= n else W2 @ (W1 @ W0)
     with _planned(_Plan(True, True)):
         assert np.array_equal(forward(FactorChain([W0, W1, W2])), whole)
+    assert pool.submitted == 0
 
 
 class CountingArray(np.ndarray):
