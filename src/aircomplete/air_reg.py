@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericOverflow
-from .mat_core import _PLAN, _lanes, _queue, _view, as_matrix
+from .mat_core import _PLAN, _lanes, _queue, _take, _view, as_matrix
 
 __all__ = [
     "RegParam", "LaplacianPair",
@@ -200,26 +200,23 @@ def _sum_value_grad_from_K(K: np.ndarray, W: np.ndarray):
     return R, KE - R * E
 
 
-def _laplacian_rows(L_blk, M, out=None) -> np.ndarray:
+def _laplacian_rows(L_blk, M, out) -> np.ndarray:
     """Rows of L M, from the same rows of the symmetric L, into the
-    C-ordered `out` when given."""
+    C-ordered `out`."""
     if L_blk.shape[0] == L_blk.shape[1] and M.flags.f_contiguous:
         # all of L, and M is X^T: X L skips BLAS's slower transposed
         # operand, which costs a 100 x 100 step about 3% of its graph time
-        return np.matmul(M.T, L_blk, out=None if out is None
-                         else out.reshape(M.shape[1], -1)).T
+        return np.matmul(M.T, L_blk, out=out.reshape(M.shape[1], -1)).T
     return np.matmul(L_blk, M, out=out)
 
 
-def _fixed_graph_term(L, M, lam: float, out, scratch=None) -> float:
+def _fixed_graph_term(L, M, lam: float, out) -> float:
     """tr(M^T L M) for a given L, adding 2 lam L M into out in the row
-    blocks of reg_value_and_grad, so that the two add the same bits; each
-    block's L M is an array of `scratch` (mat_core._Scratch) when given."""
+    blocks of reg_value_and_grad, so that the two add the same bits."""
     R = 0.0
     for blk in _row_blocks(L.shape[0]):
-        LM = _laplacian_rows(L[blk], M, None if scratch is None else
-                             scratch.take((blk.stop - blk.start,
-                                           M.shape[1]))[0])
+        LM = _laplacian_rows(L[blk], M,
+                             _take((blk.stop - blk.start, M.shape[1]))[0])
         R += float(np.vdot(M[blk], LM))
         if lam != 0.0:
             LM *= 2.0 * lam  # in place, not into a copy
@@ -249,8 +246,7 @@ def _gram_ahead(p: RegParam, M, arrays=None):
 
 
 def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
-                       grad: bool = True, ahead=None, arrays=None,
-                       scratch=None):
+                       grad: bool = True, ahead=None, arrays=None):
     """Dirichlet energy tr(M^T L(W) M) and its gradient in W.
 
     Writing E = exp(W)/S and K_ij = ||M_i - M_j||^2, the chain rule
@@ -281,11 +277,10 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     `out` an array whose rows match M's (out.T for M = X^T), the second
     pass also adds 2 lam L M, the gradient in M of lam R, into `out`.
     With `arrays` from _step_arrays(p) the Gram matrix, and so dR/dW, and
-    the first pass are written into them, and with `scratch`
-    (mat_core._Scratch) each lane's block arrays are its own; the bits are
-    the same.
+    the first pass are written into them, with the same bits. Each block's
+    arrays come from mat_core._take.
     """
-    if arrays is None:  # train, the caller with arrays, has checked X
+    if arrays is None:  # _AdaptiveReg's callers check X or make it finite
         M = as_matrix(M, "transformed matrix")
     if M.shape[0] != p.dim:
         raise InvalidInput(f"M has {M.shape[0]} rows, W is {p.dim}x{p.dim}")
@@ -301,11 +296,9 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
     add = out is not None and lam != 0.0
 
     def energy_rows(blk):
-        A_out = LM_out = F_out = None  # numpy allocates them without scratch
-        if scratch is not None:
-            b = blk.stop - blk.start
-            A_out, LM_out, F_out = scratch.take(
-                (b, p.dim), (b, M.shape[1]), (b, p.dim if sum_form else 0))
+        b = blk.stop - blk.start
+        A_out, LM_out, F_out = _take(
+            (b, p.dim), (b, M.shape[1]), (b, p.dim if sum_form else 0))
         F = _normalized_exp(W, c, s, blk, F_out) if sum_form else None
         A = _adjacency_rows(p, c, s, blk, F, A_out)
         Kb = _sq_distances(K, d, blk)  # K[blk], to become the gradient
@@ -331,8 +324,7 @@ def reg_value_and_grad(p: RegParam, M, *, lam: float = 0.0, out=None,
 
         def subtract_rows(blk):
             E = tail if blk is blocks[-1] else _normalized_exp(
-                W, c, s, blk, None if scratch is None else scratch.take(
-                    (blk.stop - blk.start, p.dim))[0])
+                W, c, s, blk, _take((blk.stop - blk.start, p.dim))[0])
             E *= R
             K[blk] -= E
 

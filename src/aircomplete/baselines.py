@@ -10,7 +10,7 @@ import numpy as np
 from .air_reg import build_laplacian
 from .data_lab import SamplingMask
 from .errors import ImputeError, InvalidInput
-from .mat_core import as_matrix, svd
+from .mat_core import _take, _view, as_matrix, svd
 
 __all__ = [
     "TvConfig", "FixedLaplacians",
@@ -152,33 +152,25 @@ def svd_impute(Y_partial, mask: SamplingMask, rank: int,
     return work
 
 
-def tv_value_and_grad(X, cfg: TvConfig,
-                      scratch=None) -> tuple[float, np.ndarray]:
+def tv_value_and_grad(X, cfg: TvConfig) -> tuple[float, np.ndarray]:
     """Smoothed anisotropic total variation and its gradient.
 
     Each horizontal and vertical neighbor difference d contributes
     sqrt(d^2 + eps^2) - eps, which vanishes with d and is differentiable
-    at d = 0. With `scratch` (mat_core._Scratch) the gradient and the
-    differences are its arrays, with the same bits; the gradient then
-    holds until the scratch's next take.
+    at d = 0. The gradient and the differences come from mat_core._take:
+    in a `train` call the gradient holds until the penalty's next call.
     """
     X = as_matrix(X, "X")
     m, n = X.shape
-    if scratch is None:
-        grad = np.zeros_like(X)
-    else:
-        (grad,) = scratch.take((m, n))
-        grad.fill(0.0)
+    grad, d_buf, root_buf = _take((m, n), (m * n,), (m * n,))
+    grad.fill(0.0)
     value = 0.0
     every, up, down = slice(None), slice(1, None), slice(None, -1)
     # the horizontal, then the vertical differences X[hi] - X[lo]
     for shape, hi, lo in (((m, n - 1), (every, up), (every, down)),
                           ((m - 1, n), (up, every), (down, every))):
-        d = root = None
-        if scratch is not None:  # after the gradient's place
-            _, d, root = scratch.take((m, n), shape, shape)
-        d = np.subtract(X[hi], X[lo], d)
-        root = np.multiply(d, d, root)
+        d = np.subtract(X[hi], X[lo], _view(d_buf, shape))
+        root = np.multiply(d, d, _view(root_buf, shape))
         root += cfg.eps * cfg.eps
         np.sqrt(root, out=root)
         d /= root  # the gradient of this direction's terms

@@ -611,7 +611,9 @@ def _gradcheck(seed: int) -> tuple[bool, list[str]]:
         X = trainer.forward(chain, partials)
         G = lift(apply_mask(X, mask) - y, mask)
         _, _, G, w_grads = strategy.compute(X, G)
-        ana = factor_grads_from_full(chain, G, partials) + list(w_grads)
+        # copies: the values() calls below write over air's W-gradients
+        ana = (factor_grads_from_full(chain, G, partials)
+               + [g.copy() for g in w_grads])
         # graph-parameter entries are differenced on the penalty alone: the
         # fidelity does not depend on them, and its roundoff would dominate
         check(f"objective {label}", ana, [

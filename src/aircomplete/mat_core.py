@@ -119,10 +119,13 @@ def finite_difference_grad(f, X, h: float = 1e-5) -> np.ndarray:
 # two-way split of a training step
 
 class _Plan(NamedTuple):
-    """Which parts of a training step run on two lanes (see _lanes)."""
+    """How a training step runs: which parts split two ways (see _lanes),
+    its kernels' scratch (see _take), and the lane of this context."""
 
     graphs: bool = False  # the row blocks of a graph that spans several
     pairs: bool = False   # the forward halves, factor-gradient pairs, Adam
+    scratch: _Scratch | None = None
+    lane: int = 0  # 0 the caller's, 1 the worker's (see _queue)
 
 
 # entries of X from which the CSV writer hands its chunks to two lanes
@@ -132,8 +135,8 @@ _PAIR_MIN = 1 << 20
 # everywhere else
 _PLAN = contextvars.ContextVar("aircomplete_plan", default=_Plan())
 _POOL = None  # the one worker, started by the first split (main thread)
-# the lane a context runs: 0 the caller's, 1 the worker's (see _queue)
-_LANE = contextvars.ContextVar("aircomplete_lane", default=0)
+if hasattr(os, "register_at_fork"):  # a fork's child starts a worker anew
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 
 
 def _second_cpu_idle() -> bool:
@@ -180,7 +183,7 @@ def _keep_off(cpu):
 def _queue(fn):
     """Future of fn(), run on the one-worker pool once the work queued
     before it drains. fn runs in a copy of the caller's context, so it
-    keeps np.errstate but sees the plan off and never queues work itself.
+    keeps np.errstate and the scratch; as lane 1 it never splits work.
 
     The worker starts on the allowed CPUs other than the one its first
     caller runs on (see _keep_off). Where the kernel does not balance
@@ -195,8 +198,7 @@ def _queue(fn):
             max_workers=1, thread_name_prefix="aircomplete",
             initializer=_keep_off, initargs=(_this_cpu(),))
     ctx = contextvars.copy_context()
-    ctx.run(_PLAN.set, _Plan())
-    ctx.run(_LANE.set, 1)
+    ctx.run(_PLAN.set, _Plan(scratch=_PLAN.get().scratch, lane=1))
     return _POOL.submit(ctx.run, fn)
 
 
@@ -234,15 +236,14 @@ def _lanes(fn, items, split: bool) -> list:
 
 
 class _Scratch:
-    """The kernels' temporaries in one `train` call, one buffer per lane
-    of _lanes, kept from step to step.
+    """Temporaries kept from step to step, one buffer per lane of _lanes.
 
     take(*shapes) lays C-ordered arrays of those shapes end to end from
-    the start of the calling lane's buffer; they hold until that lane's
+    the start of the plan's lane's buffer; they hold until that lane's
     next take, so a kernel keeps them only for the length of its call.
     A buffer too small is replaced, and while a plan splits the other
     lane's grows with it, so that the first step fills both. Lane 0's
-    starts with `size` entries, for the caller to lend between kernels.
+    starts with `size` entries, for `train` to lend between kernels.
     """
 
     def __init__(self, size: int = 0):
@@ -252,13 +253,24 @@ class _Scratch:
     def take(self, *shapes, dtype=np.float64) -> list:
         ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
         size = -(-ends[-1] * np.dtype(dtype).itemsize // 8)
-        me = _LANE.get()
+        plan = _PLAN.get()
+        me, split = plan.lane, plan.lane or plan.graphs or plan.pairs
         with self._lock:
-            for lane in (me, 1 - me) if me or any(_PLAN.get()) else (me,):
+            for lane in (me, 1 - me) if split else (me,):
                 if self.bufs[lane].size < size:
                     self.bufs[lane] = np.empty(size)
             buf = self.bufs[me].view(dtype)
         return [buf[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+
+
+def _take(*shapes, dtype=np.float64) -> list:
+    """A kernel's temporaries: C-ordered arrays of the given shapes, from
+    the running `train` call's scratch (see _Scratch.take), so they hold
+    only until the lane's next take; fresh arrays outside `train`."""
+    scratch = _PLAN.get().scratch
+    if scratch is None:
+        return [np.empty(s, dtype) for s in shapes]
+    return scratch.take(*shapes, dtype=dtype)
 
 
 def _view(buf: np.ndarray, shape) -> np.ndarray:

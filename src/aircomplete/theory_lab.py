@@ -194,7 +194,7 @@ def verify_theorem1(m: int = 8, n: int = 8, L: int = 3, lr: float = 1e-5,
         return gaps_ok
 
     for it, X in _descend(chain, strategy, Y, lr, steps):
-        # every pass: the penalty's kernels reject a non-finite X
+        # every pass: the penalty's kernels take X unchecked
         if not np.isfinite(X).all():
             raise DivergenceError(it, "factor chain")
         if it % check_every == 0 and not checkpoint(X):

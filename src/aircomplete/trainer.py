@@ -35,7 +35,7 @@ from .dmf import (FactorChain, _step_shapes, _two_way, factor_grads_from_full,
                   forward)
 from .errors import DivergenceError, InvalidInput, NumericOverflow
 from .mat_core import (_PLAN, _Plan, _Scratch, _lanes, _planned,
-                       _second_cpu_idle, _view, as_matrix, svd)
+                       _second_cpu_idle, _take, _view, as_matrix, svd)
 
 __all__ = [
     "TrainConfig", "ModelState", "MetricTrace",
@@ -251,39 +251,39 @@ def adam_step(params, grads, moments, t: int, cfg: TrainConfig,
     ms, vs = moments
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    _lanes(lambda item: _adam_update([item], c1, c2, cfg, scratch),
+    _lanes(lambda item: _adam_update(item, c1, c2, cfg, scratch),
            [[a[chunk] for a in item] for item in zip(params, grads, ms, vs)
             for chunk in _row_chunks(item[0])], _PLAN.get().pairs)
     return params, moments
 
 
-def _adam_update(items, c1: float, c2: float, cfg: TrainConfig, scratch):
-    """adam_step's update of each (p, g, m, v) in items, with the bias
-    corrections c1 and c2 of its step."""
+def _adam_update(item, c1: float, c2: float, cfg: TrainConfig, scratch):
+    """adam_step's update of one (p, g, m, v), with the bias corrections
+    c1 and c2 of its step."""
     b1, b2 = cfg.beta1, cfg.beta2
-    for p_all, g_all, m_all, v_all in items:
-        n_rows, cols = p_all.shape
-        rows = max(1, _ADAM_BLOCK // cols)
-        buf_a, buf_b = scratch.take((2, min(rows, n_rows) * cols))[0]
-        for i in range(0, n_rows, rows):
-            blk = slice(i, i + rows)
-            p, g, m, v = p_all[blk], g_all[blk], m_all[blk], v_all[blk]
-            a = buf_a[:p.size].reshape(p.shape)
-            b = buf_b[:p.size].reshape(p.shape)
-            np.multiply(g, 1.0 - b1, out=a)
-            m *= b1
-            m += a
-            np.multiply(g, g, out=b)
-            b *= 1.0 - b2
-            v *= b2
-            v += b
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += cfg.eps
-            np.divide(m, c1, out=a)
-            a *= cfg.lr
-            a /= b
-            p -= a
+    p_all, g_all, m_all, v_all = item
+    n_rows, cols = p_all.shape
+    rows = max(1, _ADAM_BLOCK // cols)
+    buf_a, buf_b = scratch.take((2, min(rows, n_rows) * cols))[0]
+    for i in range(0, n_rows, rows):
+        blk = slice(i, i + rows)
+        p, g, m, v = p_all[blk], g_all[blk], m_all[blk], v_all[blk]
+        a = buf_a[:p.size].reshape(p.shape)
+        b = buf_b[:p.size].reshape(p.shape)
+        np.multiply(g, 1.0 - b1, out=a)
+        m *= b1
+        m += a
+        np.multiply(g, g, out=b)
+        b *= 1.0 - b2
+        v *= b2
+        v += b
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        np.divide(m, c1, out=a)
+        a *= cfg.lr
+        a /= b
+        p -= a
 
 
 class Adam:
@@ -321,8 +321,8 @@ class _NoReg:
     (Rr, Rc, G, gradients of w_params), with dPenalty/dX added into G in
     place (_NoReg adds nothing and hands G back); values(X, G) gives
     (Rr, Rc) alone, for the last trace row, with G (allocated when None)
-    left undefined. The others take their temporaries from `scratch`
-    (mat_core._Scratch) when given."""
+    left undefined. The others take their temporaries through
+    mat_core._take, from the running `train` call's scratch."""
 
     w_params = ()
 
@@ -335,69 +335,62 @@ class _NoReg:
 
 class _AdaptiveReg(_NoReg):
     def __init__(self, reg_row: RegParam, reg_col: RegParam,
-                 lam_r: float, lam_c: float, scratch=None):
+                 lam_r: float, lam_c: float):
         self.reg_row = reg_row
         self.reg_col = reg_col
         self.lam_r = lam_r
         self.lam_c = lam_c
         self.w_params = (reg_row.W, reg_col.W)
-        self.scratch = scratch
-        # with scratch, each graph's Gram matrix, which becomes its
-        # W-gradient, and first pass, kept from step to step
-        self.arrays = ((None, None) if scratch is None
-                       else (_step_arrays(reg_row), _step_arrays(reg_col)))
+        # each graph's Gram matrix, which becomes the W-gradient that
+        # compute() hands back until its next call, and first pass
+        self.arrays = (_step_arrays(reg_row), _step_arrays(reg_col))
 
     def compute(self, X, G):
         # the column graph's Gram is formed on the worker beside the row
         # graph's passes; G still takes the row term first
         ahead = _gram_ahead(self.reg_col, X.T, self.arrays[1])
         Rr, gWr = reg_value_and_grad(self.reg_row, X, lam=self.lam_r, out=G,
-                                     arrays=self.arrays[0],
-                                     scratch=self.scratch)
+                                     arrays=self.arrays[0])
         Rc, gWc = reg_value_and_grad(self.reg_col, X.T, lam=self.lam_c,
                                      out=G.T, ahead=ahead,
-                                     arrays=self.arrays[1],
-                                     scratch=self.scratch)
+                                     arrays=self.arrays[1])
         gWr *= self.lam_r
         gWc *= self.lam_c
         return Rr, Rc, G, (gWr, gWc)
 
     def values(self, X, G=None):
         # compute()'s energies by the same sweep, without any gradient
-        (rows, cols), scratch = self.arrays, self.scratch
+        rows, cols = self.arrays
         ahead = _gram_ahead(self.reg_col, X.T, cols)
-        return (reg_value_and_grad(self.reg_row, X, grad=False, arrays=rows,
-                                   scratch=scratch)[0],
+        return (reg_value_and_grad(self.reg_row, X, grad=False,
+                                   arrays=rows)[0],
                 reg_value_and_grad(self.reg_col, X.T, grad=False,
-                                   ahead=ahead, arrays=cols,
-                                   scratch=scratch)[0])
+                                   ahead=ahead, arrays=cols)[0])
 
 
 class _FrozenReg(_NoReg):
-    def __init__(self, Lr, Lc, lam_r: float, lam_c: float, scratch=None):
+    def __init__(self, Lr, Lc, lam_r: float, lam_c: float):
         self.Lr = as_matrix(Lr, "Lr")
         self.Lc = as_matrix(Lc, "Lc")
         self.lam_r = lam_r
         self.lam_c = lam_c
-        self.scratch = scratch
 
     def compute(self, X, G):
         # the adaptive arm's row blocks, so given its L the bits are its own
-        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G, self.scratch)
-        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T, self.scratch)
+        Rr = _fixed_graph_term(self.Lr, X, self.lam_r, G)
+        Rc = _fixed_graph_term(self.Lc, X.T, self.lam_c, G.T)
         return Rr, Rc, G, ()
 
 
 class _TvReg(_NoReg):
     """Smoothed TV of X weighted by lam, logged in the reg_r column."""
 
-    def __init__(self, cfg: TvConfig, lam: float, scratch=None):
+    def __init__(self, cfg: TvConfig, lam: float):
         self.cfg = cfg
         self.lam = lam
-        self.scratch = scratch
 
     def compute(self, X, G):
-        value, grad = tv_value_and_grad(X, self.cfg, self.scratch)
+        value, grad = tv_value_and_grad(X, self.cfg)
         grad *= self.lam
         G += grad
         return value, 0.0, G, ()
@@ -439,8 +432,8 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     and its product is handed back as trace.X. Where a second CPU would
     idle, the steps split two ways (see _two_way_plan) with the same bits.
     The steps write their arrays into buffers made once per call, and the
-    kernels take their temporaries from one mat_core._Scratch, which the
-    first step fills.
+    kernels take their temporaries from one mat_core._Scratch, carried in
+    the plan (see mat_core._take), which the first step fills.
     """
     chain = state.chain
     m, n = chain.shape
@@ -468,13 +461,11 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     if lam_r == 0 and lam_c == 0:
         strategy = _NoReg()
     elif isinstance(penalty, TvConfig):
-        strategy = _TvReg(penalty, lam_r, scratch)
+        strategy = _TvReg(penalty, lam_r)
     elif penalty is None:
-        strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c,
-                                scratch)
+        strategy = _AdaptiveReg(state.reg_row, state.reg_col, lam_r, lam_c)
     else:
-        strategy = _FrozenReg(penalty.L_r, penalty.L_c, lam_r, lam_c,
-                              scratch)
+        strategy = _FrozenReg(penalty.L_r, penalty.L_c, lam_r, lam_c)
 
     y = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = mask.n_observed
@@ -499,7 +490,7 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     diff_buf = np.empty(n_obs)
 
     def finite(a):
-        return np.isfinite(a, out=scratch.take(a.shape, dtype=bool)[0]).all()
+        return np.isfinite(a, out=_take(a.shape, dtype=bool)[0]).all()
 
     def scores(X):
         # a checkpoint's (mse_unobs, nmae, sigmas), taken before lift fills
@@ -526,7 +517,7 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     # needs no boolean array of a whole parameter's size
     owner, scan = zip(*[(j, p[chunk]) for j, p in enumerate(params)
                         for chunk in _row_chunks(p)])
-    plan = _two_way_plan(min(m, n), grad_shapes)
+    plan = _two_way_plan(min(m, n), grad_shapes)._replace(scratch=scratch)
     with _planned(plan):
         for it in range(cfg.max_iters + 1):
             partials = []

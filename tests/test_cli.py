@@ -657,10 +657,11 @@ def test_malformed_csv_exits_one(small_problem, tmp_path, capsys, recwarn,
 
 
 def per_value_csv(path, X):
-    # reference writer: one format() call per value
+    # reference writer: one format() call per value, on Python floats
+    # (the same text as numpy scalars give, without their slower format)
     with open(path, "w", newline="") as f:
         for row in np.atleast_2d(X):
-            f.write(",".join(format(v, ".17g") for v in row) + "\n")
+            f.write(",".join(format(v, ".17g") for v in row.tolist()) + "\n")
 
 
 def test_write_matrix_csv_matches_per_value_writer(tmp_path):

@@ -1,6 +1,8 @@
 """Validation, randomness and SVD checks against independent oracles,
 and the placement of the worker thread."""
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -188,3 +190,27 @@ def test_worker_is_not_pinned_where_it_cannot_be(fresh_worker, monkeypatch,
                         lambda: None if where == "cpu-unknown" else 0)
     assert mat_core._queue(lambda: 7).result() == 7
     assert tried == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_queued_work_on_a_worker_of_its_own():
+    # the fork is made in a child interpreter, never in the test process.
+    # The parent's worker does not survive into the fork's child, which
+    # must start its own rather than queue work that never runs
+    child = ("import os, sys\n"
+             "from aircomplete import mat_core\n"
+             "assert mat_core._lanes(abs, [-1, -2, -3], True) == [1, 2, 3]\n"
+             "pid = os.fork()\n"
+             "if pid == 0:\n"
+             "    try:\n"
+             "        job = mat_core._queue(lambda: 7)\n"
+             "        os._exit(0 if job.result(timeout=10) == 7 else 1)\n"
+             "    finally:\n"
+             "        os._exit(1)\n"
+             "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+    src = os.path.dirname(os.path.dirname(mat_core.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -175,7 +175,7 @@ def test_calls_into_given_arrays_keep_the_allocating_calls_bits(case):
                       + [gW for _, gW in regs])
             trainer.adam_step(params[0], grads0[:L], moments[0], 3, cfg)
             # the same calls into the arrays and the scratch, under the plan
-            with _planned(plan):
+            with _planned(plan._replace(scratch=scratch)):
                 p1 = []
                 X1 = forward(chain, p1, outs)
                 assert all(map(same, products, [X1] + p1))
@@ -191,16 +191,15 @@ def test_calls_into_given_arrays_keep_the_allocating_calls_bits(case):
                         graphs, (X1, X1.T), (G1, G1.T), arrays, regs):
                     ahead = air_reg._gram_ahead(p, M, arr)
                     R1, gW1 = reg_value_and_grad(p, M, lam=lam, out=out,
-                                                 ahead=ahead, arrays=arr,
-                                                 scratch=scratch)
+                                                 ahead=ahead, arrays=arr)
                     assert R0 == R1 and same(gW0, gW1)
                     K1.append(gW1)
                 assert same(G0, G1)
                 H1 = G1.copy()
                 assert frozen == trainer._FrozenReg(
-                    *Ls, lam, lam, scratch).compute(X1, H1)[:2]
+                    *Ls, lam, lam).compute(X1, H1)[:2]
                 assert same(H0, H1)
-                v1, t1 = tv_value_and_grad(X1, TvConfig(), scratch)
+                v1, t1 = tv_value_and_grad(X1, TvConfig())
                 assert tv[0] == v1 and same(tv[1], t1)
                 # the first T is not written over G, which it is formed from
                 grads1 = factor_grads_from_full(chain, G1, p1, grad_outs,

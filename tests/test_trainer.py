@@ -12,7 +12,7 @@ import pytest
 from aircomplete import air_reg
 from aircomplete.air_reg import (RegParam, build_laplacian, dirichlet_energy,
                                  grad_wrt_X, reg_value_and_grad)
-from aircomplete.baselines import FixedLaplacians, TvConfig
+from aircomplete.baselines import FixedLaplacians, TvConfig, tv_value_and_grad
 from aircomplete.data_lab import (GroundTruth, SamplingMask, apply_mask,
                                   gen_block_ratings, gen_lowrank,
                                   generate_mask, lift)
@@ -367,22 +367,21 @@ def test_adaptive_step_holds_one_graph_sized_array_per_graph(monkeypatch,
                                                              m, n):
     monkeypatch.setattr(air_reg, "_GRAPH_BLOCK", 16)
     rng = make_rng(32)
-    reg = trainer_mod._AdaptiveReg(
-        RegParam(gaussian_matrix(rng, m, m, variance=1e-5)),
-        RegParam(gaussian_matrix(rng, n, n, variance=1e-5)), 0.3, 0.7)
+    graphs = [RegParam(gaussian_matrix(rng, k, k, variance=1e-5))
+              for k in (m, n)]
     X = rng.standard_normal((m, n))
     G = np.zeros((m, n))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        reg.compute(X, G)
+        # the strategy makes its Gram matrices, so they count too
+        trainer_mod._AdaptiveReg(*graphs, 0.3, 0.7).compute(X, G)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the row graph's W-gradient is alive while the column graph's Gram
-    # turns into its own; besides those two come a few blocks of 16 rows
-    # and the finiteness scan of X (2.28 MB in all). A step holding K, A
-    # and E of a graph whole peaks at 5.9 MB here
+    # each graph's Gram matrix, which turns into its W-gradient, and a few
+    # blocks of 16 rows (2.27-2.29 MB in all). A step holding K, A and E
+    # of a graph whole peaks at 5.9 MB here
     assert peak < 8 * (m * m + n * n) + 0.5e6
 
 
@@ -780,7 +779,8 @@ def test_split_step_keeps_its_bits_under_rapid_thread_switches(monkeypatch,
         RegParam(gaussian_matrix(rng, 70, 70), "sum_form"),
         RegParam(gaussian_matrix(rng, 50, 50)), 0.3, 0.7)
     X = rng.standard_normal((70, 50))
-    Rr, Rc, G, (gWr, gWc) = reg.compute(X, np.zeros((70, 50)))
+    Rr, Rc, G, w_grads = reg.compute(X, np.zeros((70, 50)))
+    gWr, gWc = (g.copy() for g in w_grads)  # reg's arrays, rewritten below
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -805,12 +805,13 @@ def test_scratch_lanes_keep_their_bits_under_rapid_thread_switches(pool):
     X = rng.standard_normal((300, 260))
     Rr, Rc, G, (gWr, gWc) = trainer_mod._AdaptiveReg(
         *graphs, 0.3, 0.7).compute(X, np.zeros((300, 260)))
-    reg = trainer_mod._AdaptiveReg(*graphs, 0.3, 0.7, _Scratch())
+    reg = trainer_mod._AdaptiveReg(*graphs, 0.3, 0.7)
+    scratch = _Scratch()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            with _planned(_Plan(graphs=True)):
+            with _planned(_Plan(graphs=True, scratch=scratch)):
                 got = reg.compute(X, np.zeros((300, 260)))
             assert got[:2] == (Rr, Rc)
             for a, b in zip((got[2], *got[3]), (G, gWr, gWc)):
@@ -839,7 +840,8 @@ def test_a_stalled_worker_does_not_stall_the_sweep(monkeypatch, pool):
         RegParam(gaussian_matrix(rng, 70, 70), "sum_form"),
         RegParam(gaussian_matrix(rng, 50, 50)), 0.3, 0.7)
     X = rng.standard_normal((70, 50))
-    Rr, Rc, G, (gWr, gWc) = reg.compute(X, np.zeros((70, 50)))
+    Rr, Rc, G, w_grads = reg.compute(X, np.zeros((70, 50)))
+    gWr, gWc = (g.copy() for g in w_grads)  # reg's arrays, rewritten below
     on_main = []
     real = air_reg._sq_distances
 
@@ -975,6 +977,23 @@ def test_steps_after_the_first_allocate_no_large_array(monkeypatch, pool,
         tracemalloc.stop()
     assert len(grown) == 5
     assert max(grown[1:]) < 8 * m * n / 2
+
+
+@pytest.mark.parametrize("kernel", ["tv", "reg", "grad_wrt_X"])
+def test_kernels_outside_train_hand_back_arrays_of_their_own(kernel):
+    # outside train the kernels' arrays are fresh (mat_core._take), so a
+    # later call neither hands back nor writes into an earlier result
+    rng = make_rng(76)
+    p = RegParam(gaussian_matrix(rng, 140, 140))  # two graph blocks
+    L = build_laplacian(p).L
+    call = {"tv": lambda X: tv_value_and_grad(X, TvConfig())[1],
+            "reg": lambda X: reg_value_and_grad(p, X)[1],
+            "grad_wrt_X": lambda X: grad_wrt_X(L, L, X, 0.3, 0.7)}[kernel]
+    first = call(rng.standard_normal((140, 140)))
+    kept = first.copy()
+    second = call(rng.standard_normal((140, 140)))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------
