@@ -41,64 +41,95 @@ from .trainer import MetricTrace, ModelState, TrainConfig, train
 __all__ = ["main", "run_complete", "run_sweep", "run_verify", "default_config"]
 
 
+# Every run setting in --help order: its flag (None for a key set only in
+# a config file), its config key (None for --config and --out-dir) and its
+# spec. A spec is the default; a type, for a key whose default is null; or
+# a tuple of the allowed values, the first of them the default.
+_KEYS = (
+    ("--config", None, None), ("--seed", "seed", 0),
+    ("--model-seed", "model_seed", int), ("--out-dir", None, "."),
+    ("--data-kind", "data.kind", ("lowrank", "block_ratings", "image")),
+    ("--data-path", "data.path", str), ("--rows", "data.rows", 100),
+    ("--cols", "data.cols", 100), ("--rank", "data.rank", 5),
+    ("--row-groups", "data.row_groups", 6),
+    ("--col-groups", "data.col_groups", 8), ("--noise", "data.noise", 0.0),
+    ("--mask-kind", "mask.kind", ("random", "patch", "texture", "file")),
+    ("--mask-path", "mask.path", str), ("--missing", "mask.missing", 0.3),
+    ("--patch-top", "mask.top", 0), ("--patch-left", "mask.left", 0),
+    ("--patch-height", "mask.height", 1), ("--patch-width", "mask.width", 1),
+    ("--period", "mask.period", 4), ("--thickness", "mask.thickness", 1),
+    ("--depth", "model.depth", 3), ("--width", "model.width", 0),
+    ("--init", "model.init", ("gaussian", "balanced_spectral")),
+    (None, "model.variance", 1e-5),
+    ("--reg", "regularizer.mode", ("air", "none", "tv", "fixed")),
+    ("--parameterization", "regularizer.parameterization", _PARAMETERIZATIONS),
+    ("--lambda-mode", "regularizer.lambda_mode", trainer._LAMBDA_MODES),
+    ("--lambda-row", "regularizer.lambda_row", 0.0),
+    ("--lambda-col", "regularizer.lambda_col", 0.0),
+    (None, "regularizer.tv_eps", 1e-6),
+    ("--tv-weight", "regularizer.tv_weight", float),
+    ("--fixed-path", "regularizer.fixed_path", str),
+    ("--optimizer", "optimizer.kind", trainer._OPTIMIZERS),
+    ("--lr", "optimizer.lr", 1e-3), (None, "optimizer.beta1", 0.9),
+    (None, "optimizer.beta2", 0.999), (None, "optimizer.eps", 1e-8),
+    ("--max-iters", "stopping.max_iters", 10000),
+    ("--stop-delta", "stopping.delta", float),
+    ("--stop-patience", "stopping.patience", 1),
+    ("--stop-warmup", "stopping.warmup", 500),
+    ("--stop-mse-obs", "stopping.mse_obs", float),
+    ("--log-every", "log_every", 100),
+    ("--track-sigmas", "track_singular_values", 0),
+    ("--trace-csv", "outputs.trace_csv", "trace.csv"),
+    ("--recovered", "outputs.recovered_path", str),
+    ("--report", "outputs.report_path", "report.json"),
+)
+_SPECS = {path: spec for _, path, spec in _KEYS if path}
+_TYPE_NAMES = {int: "an integer", float: "a finite number",
+               str: "a string or null"}
+
+
+def _default(spec):
+    if isinstance(spec, tuple):
+        return spec[0]
+    return None if isinstance(spec, type) else spec
+
+
+def _nest(pairs) -> dict:
+    """The nested config of (dotted key, value) pairs."""
+    out: dict = {}
+    for path, val in pairs:
+        *sections, key = path.split(".")
+        node = out
+        for sect in sections:
+            node = node.setdefault(sect, {})
+        node[key] = val
+    return out
+
+
 def default_config() -> dict:
-    return copy.deepcopy({
-        "seed": 0,
-        "model_seed": None,
-        "data": {"kind": "lowrank", "path": None, "rows": 100, "cols": 100,
-                 "rank": 5, "row_groups": 6, "col_groups": 8, "noise": 0.0},
-        "mask": {"kind": "random", "path": None, "missing": 0.3,
-                 "top": 0, "left": 0, "height": 1, "width": 1,
-                 "period": 4, "thickness": 1},
-        "model": {"depth": 3, "width": 0, "init": "gaussian",
-                  "variance": 1e-5},
-        "regularizer": {"mode": "air", "parameterization": "product_form",
-                        "lambda_mode": "paper_auto", "lambda_row": 0.0,
-                        "lambda_col": 0.0, "tv_eps": 1e-6, "tv_weight": None,
-                        "fixed_path": None},
-        "optimizer": {"kind": "adam", "lr": 1e-3, "beta1": 0.9,
-                      "beta2": 0.999, "eps": 1e-8},
-        "stopping": {"max_iters": 10000, "delta": None, "patience": 1,
-                     "warmup": 500, "mse_obs": None},
-        "log_every": 100,
-        "track_singular_values": 0,
-        "outputs": {"trace_csv": "trace.csv", "recovered_path": None,
-                    "report_path": "report.json"},
-    })
+    return _nest((path, _default(spec)) for path, spec in _SPECS.items())
 
 
 _DEFAULTS = default_config()
 
-# the type of each key whose default is null; other keys take their
-# default's type
-_NULL_DEFAULT_TYPES = {"model_seed": int, "stopping.delta": float,
-                       "stopping.mse_obs": float,
-                       "regularizer.tv_weight": float}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string or null"}
-
-
-def _lookup(tree: dict, path: str):
-    for key in path.split("."):
-        tree = tree[key]
-    return tree
-
 
 def _key_type(path: str) -> type:
-    default = _lookup(_DEFAULTS, path)
-    if default is None:
-        return _NULL_DEFAULT_TYPES.get(path, str)
-    return type(default)
+    spec = _SPECS[path]
+    return spec if isinstance(spec, type) else type(_default(spec))
 
 
 def _check_value(path: str, val):
-    """Integer keys take ints but not bools, float keys ints or floats,
-    string keys a string or null; a key whose default is null takes null."""
+    """Integer keys take ints but not bools, float keys finite ints or
+    floats, string keys a string or null; a key whose default is null takes
+    null."""
     want = _key_type(path)
     if val is None:
-        ok = want is str or _lookup(_DEFAULTS, path) is None
+        ok = want is str or isinstance(_SPECS[path], type)
     else:
+        # the bound turns away NaN, infinities and ints past float range
         ok = (isinstance(val, (int, float) if want is float else want)
-              and not isinstance(val, bool))
+              and not isinstance(val, bool)
+              and (want is not float or abs(val) <= sys.float_info.max))
     if not ok:
         raise InvalidInput(f"config key {path!r} must be {_TYPE_NAMES[want]}, "
                            f"got {val!r}")
@@ -125,7 +156,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
         with open(path) as f:
             try:
                 file_cfg = json.load(f)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # bad JSON, or an int past the digit limit
                 raise InvalidInput(f"config {path} is not valid JSON: {e}") from None
         if not isinstance(file_cfg, dict):
             raise InvalidInput(f"config {path} must hold a JSON object")
@@ -134,15 +165,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-_ENUMS = {
-    "data.kind": ("lowrank", "block_ratings", "image"),
-    "mask.kind": ("random", "patch", "texture", "file"),
-    "model.init": ("gaussian", "balanced_spectral"),
-    "regularizer.mode": ("air", "none", "tv", "fixed"),
-    "regularizer.parameterization": _PARAMETERIZATIONS,
-    "regularizer.lambda_mode": trainer._LAMBDA_MODES,
-    "optimizer.kind": trainer._OPTIMIZERS,
-}
 _SWEEP_AXES = ("depth", "width")
 # the regularizer.mode of each baseline method; knn and svd read no penalty
 _METHOD_MODES = {"knn": "none", "svd": "none", "dmf": "none", "tv": "tv",
@@ -150,13 +172,17 @@ _METHOD_MODES = {"knn": "none", "svd": "none", "dmf": "none", "tv": "tv",
 
 
 def _validate_config(cfg: dict):
-    # the key and type walk of load_config, for configs built in code
+    # the key and type walk of load_config, for configs built in code, then
+    # what it leaves: missing keys and values outside their choices
     _deep_update(default_config(), cfg)
-    for path, allowed in _ENUMS.items():
-        val = _lookup(cfg, path)
-        if val not in allowed:
-            raise InvalidInput(f"{path} must be one of {allowed}, "
-                               f"got {val!r}")
+    for path, spec in _SPECS.items():
+        val = cfg
+        for key in path.split("."):
+            if key not in val:
+                raise InvalidInput(f"config has no key {path!r}")
+            val = val[key]
+        if isinstance(spec, tuple) and val not in spec:
+            raise InvalidInput(f"{path} must be one of {spec}, got {val!r}")
     if cfg["model"]["depth"] < 2:
         raise InvalidInput("model depth must be at least 2")
 
@@ -686,50 +712,13 @@ def run_verify(kind: str, args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# The flags of complete, baseline and sweep in --help order, each with the
-# config key it sets; --config and --out-dir set none. A flag's type is its
-# key's type, its choices the key's _ENUMS entry.
-_FLAGS = (
-    ("--config", None), ("--seed", "seed"), ("--model-seed", "model_seed"),
-    ("--out-dir", None),
-    ("--data-kind", "data.kind"), ("--data-path", "data.path"),
-    ("--rows", "data.rows"), ("--cols", "data.cols"), ("--rank", "data.rank"),
-    ("--row-groups", "data.row_groups"), ("--col-groups", "data.col_groups"),
-    ("--noise", "data.noise"),
-    ("--mask-kind", "mask.kind"), ("--mask-path", "mask.path"),
-    ("--missing", "mask.missing"), ("--patch-top", "mask.top"),
-    ("--patch-left", "mask.left"), ("--patch-height", "mask.height"),
-    ("--patch-width", "mask.width"), ("--period", "mask.period"),
-    ("--thickness", "mask.thickness"),
-    ("--depth", "model.depth"), ("--width", "model.width"),
-    ("--init", "model.init"),
-    ("--reg", "regularizer.mode"),
-    ("--parameterization", "regularizer.parameterization"),
-    ("--lambda-mode", "regularizer.lambda_mode"),
-    ("--lambda-row", "regularizer.lambda_row"),
-    ("--lambda-col", "regularizer.lambda_col"),
-    ("--tv-weight", "regularizer.tv_weight"),
-    ("--fixed-path", "regularizer.fixed_path"),
-    ("--optimizer", "optimizer.kind"), ("--lr", "optimizer.lr"),
-    ("--max-iters", "stopping.max_iters"), ("--stop-delta", "stopping.delta"),
-    ("--stop-patience", "stopping.patience"),
-    ("--stop-warmup", "stopping.warmup"),
-    ("--stop-mse-obs", "stopping.mse_obs"),
-    ("--log-every", "log_every"),
-    ("--track-sigmas", "track_singular_values"),
-    ("--trace-csv", "outputs.trace_csv"),
-    ("--recovered", "outputs.recovered_path"),
-    ("--report", "outputs.report_path"),
-)
-
-
 def _add_run_flags(p: argparse.ArgumentParser):
-    for flag, path in _FLAGS:
+    for flag, path, spec in _KEYS:
         if path is None:
-            p.add_argument(flag, default="." if flag == "--out-dir" else None)
-        else:
+            p.add_argument(flag, default=spec)
+        elif flag:
             p.add_argument(flag, type=_key_type(path),
-                           choices=_ENUMS.get(path))
+                           choices=spec if isinstance(spec, tuple) else None)
 
 
 def _add_default_flags(p: argparse.ArgumentParser, section: dict, *keys):
@@ -741,17 +730,9 @@ def _add_default_flags(p: argparse.ArgumentParser, section: dict, *keys):
 
 
 def _overrides_from_args(args) -> dict:
-    out: dict = {}
-    for flag, path in _FLAGS:
-        val = getattr(args, flag[2:].replace("-", "_"), None)
-        if path is None or val is None:
-            continue
-        *sections, key = path.split(".")
-        node = out
-        for sect in sections:
-            node = node.setdefault(sect, {})
-        node[key] = val
-    return out
+    vals = [(path, getattr(args, flag[2:].replace("-", "_")))
+            for flag, path, _ in _KEYS if flag and path]
+    return _nest((path, val) for path, val in vals if val is not None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -213,7 +213,7 @@ def gen_block_ratings(rng: np.random.Generator, m: int, n: int,
         raise InvalidInput(f"col_groups must divide n ({n}), got {col_groups}")
     base = rng.integers(1, 6, size=(row_groups, col_groups)).astype(np.float64)
     full = np.kron(base, np.ones((m // row_groups, n // col_groups)))
-    if noise < 0:
+    if not noise >= 0:  # NaN too
         raise InvalidInput("noise must be nonnegative")
     if noise > 0:
         full = full + rng.normal(0.0, noise, size=(m, n))

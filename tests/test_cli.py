@@ -21,7 +21,7 @@ from aircomplete.data_lab import read_mask_pgm, read_pgm, write_pgm
 from aircomplete.dmf import initialize
 from aircomplete.errors import InvalidInput
 from aircomplete.mat_core import gaussian_matrix, make_rng
-from aircomplete.trainer import ModelState
+from aircomplete.trainer import ModelState, TrainConfig
 
 
 def run(*argv):
@@ -489,6 +489,15 @@ def test_malformed_config_exits_one_and_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_config_int_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # json.load raises ValueError, not JSONDecodeError, for such an int
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": ' + "9" * 5000 + "}")
+    assert run("complete", "--config", cfg, "--out-dir", tmp_path / "o") == 1
+    assert capsys.readouterr().err.startswith("error: config ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_exits_one_and_writes_nothing(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"regulariser": {"mode": "air"}}))
@@ -502,7 +511,11 @@ def test_unknown_config_key_exits_one_and_writes_nothing(tmp_path):
     ({"data": 5}, "'data'"),
     ({"model": {"depth": "3"}}, "'model.depth'"),
     ({"log_every": 2.5}, "'log_every'"),
-], ids=["scalar-for-section", "string-for-int", "float-for-int"])
+    ({"model": {"variance": float("nan")}}, "'model.variance'"),
+    ({"optimizer": {"lr": float("inf")}}, "'optimizer.lr'"),
+    ({"regularizer": {"lambda_row": 10 ** 400}}, "'regularizer.lambda_row'"),
+], ids=["scalar-for-section", "string-for-int", "float-for-int", "NaN",
+        "Infinity", "int-past-float-range"])
 def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, capsys,
                                                         cfg_value, key):
     cfg = tmp_path / "cfg.json"
@@ -516,15 +529,66 @@ def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("entry", [
-    lambda cfg, out: cli.run_complete(cfg, out),
-    lambda cfg, out: cli.run_sweep(cfg, "width", [2], out),
-], ids=["run_complete", "run_sweep"])
-def test_library_config_gets_the_type_checks(tmp_path, entry):
-    cfg = cli.default_config()
+@pytest.mark.parametrize("argv, message", [
+    (("complete", "--stop-delta", "nan"), "'stopping.delta'"),
+    (("complete", "--lr", "inf"), "'optimizer.lr'"),
+    (("complete", "--lambda-mode", "explicit", "--lambda-row", "nan"),
+     "'regularizer.lambda_row'"),
+    (("complete", "--data-kind", "block_ratings", "--noise", "nan"),
+     "'data.noise'"),
+    (("gen-data", "--kind", "block_ratings", "--noise", "nan", "--out",
+      "x.csv"), "noise must be nonnegative"),
+], ids=["stop-delta", "lr", "lambda-row", "complete-noise", "gen-data-noise"])
+def test_non_finite_flag_exits_one_and_writes_nothing(tmp_path, monkeypatch,
+                                                      capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--rows", 6, "--cols", 8) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def mistype_depth(cfg):
     cfg["model"]["depth"] = "3"
-    with pytest.raises(InvalidInput, match="'model.depth'"):
+    return "'model.depth'"
+
+
+def drop_warmup(cfg):
+    del cfg["stopping"]["warmup"]
+    return "config has no key 'stopping.warmup'"
+
+
+def complete(cfg, out):
+    return cli.run_complete(cfg, out)
+
+
+def sweep(cfg, out):
+    return cli.run_sweep(cfg, "width", [2], out)
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (complete, mistype_depth), (sweep, mistype_depth),
+    (complete, drop_warmup), (sweep, drop_warmup),
+], ids=["run_complete", "run_sweep", "run_complete-missing-key",
+        "run_sweep-missing-key"])
+def test_library_config_gets_the_type_checks(tmp_path, entry, fault):
+    cfg = cli.default_config()
+    message = fault(cfg)
+    with pytest.raises(InvalidInput, match=message):
         entry(cfg, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_training_defaults_are_the_library_defaults():
+    assert cli._prepare(cli.default_config())[3] == TrainConfig()
+
+
+def test_readme_config_block_is_the_default_config():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    section = readme[readme.index("### Configuration"):]
+    block = section[section.index("```json") + 7:section.index("\n```\n")]
+    assert json.loads(block) == cli.default_config()
 
 
 def test_mask_shape_mismatch_exits_one(small_problem, tmp_path):
