@@ -353,8 +353,9 @@ def grad_wrt_X(Lr, Lc, X, lam_r: float, lam_c: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Convergence oracles for the adjacency flow on a fixed matrix M with
 # positive, unit-norm rows. S2 is the set of off-diagonal index pairs with
-# identical rows, S1 the pairs with distinct rows. Along the flow the
-# adjacency mass concentrates uniformly on S2 and the diagonal.
+# identical rows, S1 the pairs with distinct rows; _same_rows is the one
+# definition of identical rows. Along the flow the adjacency mass
+# concentrates uniformly on S2 and the diagonal.
 
 def _check_flow_hypotheses(M: np.ndarray):
     if M.min() <= 0:
@@ -368,15 +369,16 @@ def _check_flow_hypotheses(M: np.ndarray):
                            f"(|r| = {norms[bad[0]]:.12g})")
 
 
+def _same_rows(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The m x m boolean matrix of rows within tol of each other in max
+    norm, formed one row against all rows in O(m n) scratch."""
+    return np.array([np.abs(M - row).max(axis=1) <= tol for row in M])
+
+
 def identical_row_pairs(M, tol: float = 1e-12) -> list[tuple[int, int]]:
     """Ordered off-diagonal pairs (k, l), k < l, with identical rows."""
-    M = as_matrix(M, "M")
-    out = []
-    for k in range(M.shape[0]):
-        for l in range(k + 1, M.shape[0]):
-            if np.max(np.abs(M[k] - M[l])) <= tol:
-                out.append((k, l))
-    return out
+    k, l = np.nonzero(np.triu(_same_rows(as_matrix(M, "M"), tol), 1))
+    return list(zip(k.tolist(), l.tolist()))
 
 
 def limit_laplacian(M, tol: float = 1e-12) -> tuple[np.ndarray, float, int]:
@@ -390,13 +392,11 @@ def limit_laplacian(M, tol: float = 1e-12) -> tuple[np.ndarray, float, int]:
     """
     M = as_matrix(M, "M")
     _check_flow_hypotheses(M)
-    m = M.shape[0]
-    pairs = identical_row_pairs(M, tol)
-    s = len(pairs)
-    gamma = 2.0 / (m + 2 * s)
-    A = gamma * np.eye(m)
-    for k, l in pairs:
-        A[k, l] = A[l, k] = gamma
+    same = _same_rows(M, tol)
+    s = int(np.triu(same, 1).sum())
+    gamma = 2.0 / (M.shape[0] + 2 * s)
+    A = same * gamma
+    np.fill_diagonal(A, gamma)  # under a negative tol too
     return _laplacian(A, out=A), gamma, s
 
 
@@ -409,17 +409,8 @@ def decay_constant(M, tol: float = 1e-12) -> float:
     """
     M = as_matrix(M, "M")
     _check_flow_hypotheses(M)
-    m = M.shape[0]
-    ident = set(identical_row_pairs(M, tol))
-    best = None
-    P = M @ M.T
-    for k in range(m):
-        for l in range(k + 1, m):
-            if (k, l) in ident:
-                continue
-            C_kl = 1.0 - P[k, l]
-            best = C_kl if best is None else min(best, C_kl)
-    if best is None:
+    C = 1.0 - (M @ M.T)[np.triu(~_same_rows(M, tol), 1)]
+    if not C.size:
         warnings.warn("all rows identical: decay constant degenerates to 0")
         return 0.0
-    return 4.0 * best / (m * m)
+    return 4.0 * C.min() / M.shape[0] ** 2

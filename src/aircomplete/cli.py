@@ -165,6 +165,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+# the failures a command reports in one line: exit 1, or a failed arm in a
+# sweep, and exit 2; any other exception is a bug and propagates
+_INPUT_ERRORS = (InvalidInput, ParseError, ImputeError, OSError, MemoryError)
+_NUMERIC_ERRORS = (NumericOverflow, DivergenceError)
 _SWEEP_AXES = ("depth", "width")
 # the regularizer.mode of each baseline method; knn and svd read no penalty
 _METHOD_MODES = {"knn": "none", "svd": "none", "dmf": "none", "tv": "tv",
@@ -429,6 +433,7 @@ def _prepare(cfg: dict):
         raise InvalidInput(f"recovered path {recovered} is a PGM image, but "
                            "the data is not an image")
     mask = _build_mask(cfg, rng, truth.full.shape)
+    trainer._check_scorable(truth, mask)
     model_rng = rng if cfg["model_seed"] is None else make_rng(cfg["model_seed"])
 
     reg = cfg["regularizer"]
@@ -537,10 +542,7 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
         try:
             _validate_config(sub)
             return (v, _fit(sub, out_dir, prep), None)
-        except (InvalidInput, ParseError, ImputeError, NumericOverflow,
-                DivergenceError, OSError) as e:
-            # a failed arm is recorded and the sweep goes on; any other
-            # exception is a bug and propagates
+        except _INPUT_ERRORS + _NUMERIC_ERRORS as e:  # the sweep goes on
             return (v, None, f"{type(e).__name__}: {e}")
 
     if workers > 1:
@@ -831,7 +833,7 @@ def _cmd_complete(args, cfg=None) -> int:
         cfg = load_config(args.config, _overrides_from_args(args))
     try:
         report = run_complete(cfg, args.out_dir)
-    except (DivergenceError, NumericOverflow) as e:
+    except _NUMERIC_ERRORS as e:
         trace = getattr(e, "trace", None)
         if trace is not None and cfg["outputs"]["trace_csv"]:
             trace.write_csv(_resolve(args.out_dir, cfg["outputs"]["trace_csv"]))
@@ -905,11 +907,10 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return _HANDLERS[args.command](args)
-    except (InvalidInput, ParseError, ImputeError, FileNotFoundError,
-            IsADirectoryError, PermissionError) as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NumericOverflow, DivergenceError) as e:
+    except _NUMERIC_ERRORS as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .air_reg import (RegParam, _sq_distances, _sum_value_grad_from_K,
-                      build_laplacian, decay_constant, identical_row_pairs,
+from .air_reg import (RegParam, _same_rows, _sq_distances,
+                      _sum_value_grad_from_K, build_laplacian, decay_constant,
                       limit_laplacian)
 from .dmf import (balance_residuals, factor_grads_from_full, forward,
                   initialize)
@@ -264,19 +264,16 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
     Lstar, gamma, s = limit_laplacian(M)
     D = decay_constant(M)
     m = M.shape[0]
-    S2 = identical_row_pairs(M)
-    S2set = set(S2)
-    S1 = [(k, l) for k in range(m) for l in range(k + 1, m)
-          if (k, l) not in S2set]
+    same = _same_rows(M)
+    S2, S1 = np.nonzero(np.triu(same, 1)), np.nonzero(np.triu(~same, 1))
     K = M @ M.T
     _sq_distances(K, K.diagonal().copy())
 
     p = RegParam(np.full((m, m), float(eps_init)), "sum_form")
     W = p.W  # updated in place, so p follows the flow
 
-    marks = np.unique(np.round(np.logspace(0, np.log10(max(steps, 2)),
-                                           60)).astype(int))
-    marks = marks[(marks >= 1) & (marks <= steps)]
+    marks = {int(t) for t in np.round(np.logspace(0, np.log10(max(steps, 2)),
+                                                  60)) if t <= steps}
 
     report = FlowReport(
         kind="theorem2",
@@ -288,23 +285,21 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
         A = lap.A
         R, _ = _sum_value_grad_from_K(K, W)
         err_limit = float(np.max(np.abs(np.abs(lap.L) - np.abs(Lstar))))
-        e2 = max((abs(A[k, l] - gamma) for k, l in S2), default=0.0) / gamma
-        e1 = max((abs(A[k, l]) for k, l in S1), default=0.0) / gamma
+        e2 = np.abs(A[S2] - gamma).max(initial=0.0) / gamma
+        e1 = np.abs(A[S1]).max(initial=0.0) / gamma
         sym = float(np.abs(W - W.T).max())
         t = it * lr
         bound = 2 * m * (m - 1) * np.exp(-D * t) / gamma
         report.add_row((t, R, err_limit, e2, e1, sym, bound))
 
     R0, _ = _sum_value_grad_from_K(K, W)
-    next_mark = 0
     for it in range(1, steps + 1):
         _, G = _sum_value_grad_from_K(K, W)
         W -= lr * G
-        if next_mark < len(marks) and it == marks[next_mark]:
+        if it in marks:
             if not np.isfinite(W).all():
                 raise DivergenceError(it, "adjacency parameter")
             inspect(it)
-            next_mark += 1
 
     rows = np.array(report.rows)
     t_arr, R_arr = rows[:, 0], rows[:, 1]
@@ -317,7 +312,7 @@ def verify_theorem2(M, lr: float = 1e-2, steps: int = 200_000,
 
     sym_ok = sym_max < 1e-10
     b_ok = err_final < err_first or err_final < 1e-12
-    if S1 and S2:
+    if S1[0].size and S2[0].size:
         c_fraction = float(np.mean(e2_arr <= e1_arr))
     else:
         c_fraction = 1.0

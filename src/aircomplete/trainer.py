@@ -178,6 +178,16 @@ def auto_lambda(y_obs, m: int, n: int) -> tuple[float, float]:
     return lam, lam
 
 
+def _check_scorable(gt: GroundTruth, mask: SamplingMask) -> float:
+    """The truth's value range hi - lo, where metrics can score on mask."""
+    lo, hi = gt.value_range
+    if hi - lo <= 0:
+        raise InvalidInput("ground-truth value range is degenerate")
+    if mask.n_unobserved == 0:
+        raise InvalidInput("nmae needs at least one unobserved entry")
+    return hi - lo
+
+
 def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False,
             out=None):
     """(mse_obs, mse_unobs, nmae) against known ground truth.
@@ -194,12 +204,7 @@ def metrics(X, ground_truth, mask: SamplingMask, absolute: bool = False,
         gt = GroundTruth.from_matrix(as_matrix(ground_truth, "ground truth"))
     if gt.full.shape != X.shape:
         raise InvalidInput(f"X {X.shape} vs truth {gt.full.shape}")
-    lo, hi = gt.value_range
-    rng_width = hi - lo
-    if rng_width <= 0:
-        raise InvalidInput("ground-truth value range is degenerate")
-    if mask.n_unobserved == 0:
-        raise InvalidInput("nmae needs at least one unobserved entry")
+    rng_width = _check_scorable(gt, mask)
     truth_obs, truth_un = gt.split(mask)
     diff_obs = apply_mask(X, mask) - truth_obs
     diff_un = apply_mask(X, mask, "unobserved", out)
@@ -435,6 +440,9 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     kernels take their temporaries from one mat_core._Scratch, carried in
     the plan (see mat_core._take), which the first step fills.
     """
+    y = np.asarray(y_obs, dtype=np.float64).ravel()
+    if not np.isfinite(y).all():
+        raise InvalidInput("y_obs contains NaN or Inf")
     chain = state.chain
     m, n = chain.shape
     if isinstance(penalty, FixedLaplacians):
@@ -453,7 +461,7 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     lifted = _view(G_buf, (m, n))
     scratch = _Scratch(max(map(math.prod, ts[::2])))
     if cfg.lambda_mode == "paper_auto":
-        lam_r, lam_c = auto_lambda(y_obs, m, n)
+        lam_r, lam_c = auto_lambda(y, m, n)
     else:
         lam_r, lam_c = cfg.lambda_row, cfg.lambda_col
     if isinstance(penalty, TvConfig):
@@ -467,7 +475,6 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
     else:
         strategy = _FrozenReg(penalty.L_r, penalty.L_c, lam_r, lam_c)
 
-    y = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = mask.n_observed
     if y.size != n_obs:
         raise InvalidInput(f"y_obs has {y.size} entries, mask observes "
@@ -545,13 +552,15 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
             except NumericOverflow as err:
                 raise failed(NumericOverflow(
                     f"{err} at iteration {it + 1}")) from err
-            if not np.isfinite(sq + Rr + Rc):
-                # a finite estimate can still overflow its squared residual
+            fid = 0.5 * sq
+            total = fid + lam_r * Rr + lam_c * Rc
+            if not np.isfinite(total):
+                # a finite estimate can still overflow its squared residual,
+                # and a finite energy its weighted term
                 raise failed(DivergenceError(it + 1, "objective"))
             if logged:
-                fid = 0.5 * sq
-                trace.append(it, fid + lam_r * Rr + lam_c * Rc, fid,
-                             lam_r * Rr, lam_c * Rc, sq / n_obs, *row)
+                trace.append(it, total, fid, lam_r * Rr, lam_c * Rc,
+                             sq / n_obs, *row)
             if it % cfg.log_every == 0 and it > 0 and reg_active:
                 scaled = (lam_r * Rr, lam_c * Rc)
                 if prev_scaled is not None:

@@ -1,4 +1,5 @@
 """Adjacency parameterizations, Dirichlet energy, gradients, limit oracles."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -332,3 +333,16 @@ def test_decay_constant_degenerate_warns_zero():
         warnings.simplefilter("always")
         assert decay_constant(M) == 0.0
     assert any("identical" in str(w.message) for w in rec)
+
+
+def test_same_rows_scratch_is_linear_in_the_rows():
+    # an m x m x n difference array would take 300 * 300 * 100 * 8 = 72 MB
+    M = make_rng(5).standard_normal((300, 100))
+    tracemalloc.start()
+    try:
+        same = air_reg._same_rows(M, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(same, np.eye(300, dtype=bool))
+    assert peak < 4e6

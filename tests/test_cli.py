@@ -17,7 +17,8 @@ from aircomplete import cli, trainer
 from aircomplete.air_reg import RegParam
 from aircomplete.baselines import FixedLaplacians
 from aircomplete.cli import main
-from aircomplete.data_lab import read_mask_pgm, read_pgm, write_pgm
+from aircomplete.data_lab import (SamplingMask, read_mask_pgm, read_pgm,
+                                  write_mask_pgm, write_pgm)
 from aircomplete.dmf import initialize
 from aircomplete.errors import InvalidInput
 from aircomplete.mat_core import gaussian_matrix, make_rng
@@ -698,6 +699,59 @@ def test_key_error_inside_a_handler_propagates(monkeypatch):
     with pytest.raises(KeyError):
         run("eval", "--recovered", "r.csv", "--truth", "t.csv",
             "--mask", "m.pgm")
+
+
+SMALL = ("--rows", 6, "--cols", 8)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("complete", *SMALL, "--max-iters", 5, "--out-dir", "F"), "File exists"),
+    (("sweep", "--axis", "depth", "--values", "2,3", *SMALL, "--max-iters", 5,
+      "--out-dir", "F"), "File exists"),
+    (("complete", *SMALL, "--max-iters", 5, "--out-dir", "F/sub"),
+     "Not a directory"),
+    (("gen-data", *SMALL, "--out", "F/x.csv"), "Not a directory"),
+    # the first allocation of this size, 53.3 PiB, is refused at once
+    (("gen-data", "--kind", "block_ratings", "--rows", 600000000, "--cols",
+      600000000, "--out", "x.csv"), "Unable to allocate"),
+], ids=["out-dir-is-file", "sweep-out-dir-is-file", "out-dir-under-file",
+        "gen-data-under-file", "size-past-memory"])
+def test_unwritable_path_or_size_past_memory_exits_one(tmp_path, monkeypatch,
+                                                       capsys, argv, message):
+    # OSError and MemoryError reach main as one error line, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+    assert (tmp_path / "F").read_text() == ""
+
+
+@pytest.mark.parametrize("case", ["constant-truth", "all-observed-mask",
+                                  "knn-constant-truth"])
+def test_unscorable_input_exits_one_before_any_file(small_problem, tmp_path,
+                                                    capsys, case):
+    # metrics cannot score these runs, whatever the model: _prepare says so
+    # before the output directory is made
+    truth, mask = small_problem
+    if case == "all-observed-mask":
+        mask = tmp_path / "all.pgm"
+        write_mask_pgm(SamplingMask(np.ones((12, 10), bool)), mask)
+    else:
+        truth = tmp_path / "const.csv"
+        np.savetxt(truth, np.full((12, 10), 2.0), delimiter=",")
+    out = tmp_path / "run"
+    argv = complete_args(truth, mask, out)
+    if case.startswith("knn"):
+        argv = ("baseline", "--method", "knn") + argv[1:]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: nmae needs at least one unobserved entry\n"
+                   if case == "all-observed-mask"
+                   else "error: ground-truth value range is degenerate\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n", "",

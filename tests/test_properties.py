@@ -1,8 +1,10 @@
 """Property tests of the graph energy and its W-gradient over random shapes,
 both parameterizations, and inputs with duplicated rows, of the adjacency
 under a constant shift of W, of the step kernels writing into given arrays,
-and of the PGM reader and the config loader on generated input."""
+of the flow-limit oracles against their pair-loop definitions, and of the
+PGM reader and the config loader on generated input."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from aircomplete import air_reg, trainer  # noqa: E402
 from aircomplete.air_reg import (_LOG_MAX, RegParam,  # noqa: E402
-                                 _adjacency_rows, _exp_scale,
-                                 _normalized_exp, reg_value_and_grad)
+                                 _adjacency_rows, _exp_scale, _laplacian,
+                                 _normalized_exp, decay_constant,
+                                 identical_row_pairs, limit_laplacian,
+                                 reg_value_and_grad)
 from aircomplete.baselines import TvConfig, tv_value_and_grad  # noqa: E402
 from aircomplete.cli import default_config, load_config  # noqa: E402
 from aircomplete.data_lab import (GroundTruth, apply_mask,  # noqa: E402
@@ -220,6 +224,88 @@ def pgm_images(draw):
     w = draw(st.integers(1, 9))
     pix = draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
     return np.array(pix, dtype=np.float64).reshape(h, w)
+
+
+# the flow-limit oracles written as loops over row pairs, straight from
+# their definitions: the reference for their bits
+
+def pairs_by_loop(M, tol):
+    out = []
+    for k in range(M.shape[0]):
+        for l in range(k + 1, M.shape[0]):
+            if np.max(np.abs(M[k] - M[l])) <= tol:
+                out.append((k, l))
+    return out
+
+
+def limit_by_loop(M, tol):
+    m = M.shape[0]
+    pairs = pairs_by_loop(M, tol)
+    s = len(pairs)
+    gamma = 2.0 / (m + 2 * s)
+    A = gamma * np.eye(m)
+    for k, l in pairs:
+        A[k, l] = A[l, k] = gamma
+    return _laplacian(A, out=A), gamma, s
+
+
+def decay_by_loop(M, tol):
+    m = M.shape[0]
+    ident = set(pairs_by_loop(M, tol))
+    best = None
+    P = M @ M.T
+    for k in range(m):
+        for l in range(k + 1, m):
+            if (k, l) in ident:
+                continue
+            C_kl = 1.0 - P[k, l]
+            best = C_kl if best is None else min(best, C_kl)
+    if best is None:
+        warnings.warn("all rows identical: decay constant degenerates to 0")
+        return 0.0
+    return 4.0 * best / (m * m)
+
+
+@st.composite
+def flow_rows(draw):
+    """(M, tol): up to 12 positive unit rows, copies of up to 4 distinct
+    ones, with up to 3 entries moved by exactly tol or by 2 tol, where tol
+    is the rounded step a move by it makes from an unmoved copy."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    base = np.abs(rng.standard_normal((draw(st.integers(1, 4)), n))) + 0.1
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    M = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=m,
+                           max_size=m))]
+    step = draw(st.sampled_from([1e-12, 1e-11, 1e-10]))
+    for k, j, times in draw(st.lists(st.tuples(
+            st.integers(0, m - 1), st.integers(0, n - 1), st.integers(1, 2)),
+            max_size=3)):
+        moved = M[k, j] + times * step
+        if times == 1:
+            step = moved - M[k, j]
+        M[k, j] = moved
+    return M, step
+
+
+def recorded(f, *args):
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, [str(w.message) for w in rec]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_rows())
+def test_flow_oracles_match_their_pair_loops(case):
+    M, tol = case
+    assert identical_row_pairs(M, tol) == pairs_by_loop(M, tol)
+    L, gamma, s = limit_laplacian(M, tol)
+    L_ref, gamma_ref, s_ref = limit_by_loop(M, tol)
+    assert np.array_equal(L, L_ref) and gamma == gamma_ref and s == s_ref
+    D, warned = recorded(decay_constant, M, tol)
+    D_ref, warned_ref = recorded(decay_by_loop, M, tol)
+    assert D == D_ref and warned == warned_ref
 
 
 @settings(max_examples=40, deadline=None)

@@ -617,6 +617,36 @@ def test_parameter_scan_names_a_nan_written_by_the_update(monkeypatch,
     assert exc.value.trace.iters == [0]
 
 
+def test_overflowing_weighted_penalty_is_divergence():
+    # the energies are finite, but times lambda 1e308 the logged total is
+    # not: a numeric failure before the first trace row, not a bad trace
+    state = small_state(seed=24, variance=1.0)
+    rng = make_rng(25)
+    mask = generate_mask(rng, 6, 5, "random", p=0.3)
+    y = rng.standard_normal(mask.n_observed)
+    cfg = TrainConfig(max_iters=5, log_every=1, lambda_mode="explicit",
+                      lambda_row=1e308, lambda_col=1e308)
+    with pytest.raises(DivergenceError, match="objective") as exc:
+        train(state, mask, y, cfg)
+    assert exc.value.iteration == 1
+    assert exc.value.trace.iters == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_observation_is_rejected_before_training(bad):
+    # paper_auto would resolve lambda to NaN from such an entry
+    state = small_state(seed=26, variance=1e-2)
+    start = [f.copy() for f in state.chain.factors]
+    rng = make_rng(27)
+    mask = generate_mask(rng, 6, 5, "random", p=0.3)
+    y = rng.standard_normal(mask.n_observed)
+    y[3] = bad
+    with pytest.raises(InvalidInput, match="y_obs contains NaN or Inf"):
+        train(state, mask, y, TrainConfig(max_iters=5))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(start, state.chain.factors))
+
+
 def test_checkpoints_reuse_the_step_forward(monkeypatch):
     calls = []
     real = trainer_mod.forward
