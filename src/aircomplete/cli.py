@@ -393,13 +393,22 @@ def _build_mask(cfg: dict, rng, shape) -> SamplingMask:
                          thickness=mk["thickness"])
 
 
-def _write_outputs(cfg: dict, out_dir, X, trace, prep):
-    truth, recovered, mask = prep[:3]
+def _output_paths(cfg: dict, out_dir, recovered) -> list:
+    """The trace, recovered (by default `recovered`) and report paths, None
+    when off, once out_dir and each path's directory exist."""
     outs = cfg["outputs"]
-    trace_path = _resolve(out_dir, outs["trace_csv"])
-    rec_path = _resolve(out_dir, outs["recovered_path"] or recovered)
-    report_path = _resolve(out_dir, outs["report_path"])
+    paths = [_resolve(out_dir, p) for p in (
+        outs["trace_csv"], outs["recovered_path"] or recovered,
+        outs["report_path"])]
+    for d in [out_dir] + [os.path.dirname(p) for p in paths if p]:
+        if d:
+            os.makedirs(d, exist_ok=True)
+    return paths
 
+
+def _write_outputs(paths, X, trace, prep):
+    truth, _, mask = prep[:3]
+    trace_path, rec_path, report_path = paths
     mse_obs, mse_unobs, nmae = trainer.metrics(X, truth, mask)
     report = {"nmae": nmae, "mse_obs": mse_obs, "mse_unobs": mse_unobs,
               "iters": int(trace.iters[-1]) if len(trace) else 0,
@@ -496,11 +505,10 @@ def _fit(cfg: dict, out_dir, prep) -> dict:
                      cfg["regularizer"]["parameterization"]) for k in (m, n)]
     state = ModelState(chain, *regs)
     # preconditions all hold past this point, safe to touch the filesystem
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    paths = _output_paths(cfg, out_dir, prep[1])
     _, trace = train(state, mask, apply_mask(truth.full, mask), tcfg, truth,
                      penalty=penalty)
-    return _write_outputs(cfg, out_dir, trace.X, trace, prep)
+    return _write_outputs(paths, trace.X, trace, prep)
 
 
 def run_complete(cfg: dict, out_dir: str | None = None) -> dict:
@@ -856,10 +864,8 @@ def _cmd_baseline(args) -> int:
     else:
         X = svd_impute(masked, mask, args.svd_rank, tol=args.svd_tol,
                        max_rounds=args.svd_rounds)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
     # an empty trace: no trace file, 0 iterations
-    report = _write_outputs(cfg, args.out_dir, X,
+    report = _write_outputs(_output_paths(cfg, args.out_dir, prep[1]), X,
                             MetricTrace(stop_reason=args.method), prep)
     print(json.dumps(report, indent=2))
     return 0

@@ -13,11 +13,13 @@ factor updates independent of whether the regularizer parameters ride
 along.
 
 Stopping: the adjacency values settle before observation error does, so
-training stops when the lambda-scaled regularizer values move less than
-stop_delta between consecutive checkpoints (log_every apart), on both
-the row and column graphs, for stop_patience consecutive checkpoints,
-after a warm-up period. An observation-MSE threshold and max_iters are
-the other exits.
+a penalized run stops ("reg_delta") once the logged reg_r and reg_c each
+move less than stop_delta over stop_patience consecutive moves. This is
+checked only at multiples of log_every: a move joins two such checkpoints,
+the one out of iteration 0 never counts, and each counted move must end
+strictly after stop_warmup; a stop_delta of 0 never stops a run. The
+other exits are max_iters and stop_mse_obs, tested every iteration; when
+that and reg_delta fire at one checkpoint, reg_delta is reported.
 """
 from __future__ import annotations
 
@@ -107,65 +109,68 @@ class ModelState:
 
 @dataclass
 class MetricTrace:
-    """Checkpoint log. reg_r and reg_c are the lambda-scaled terms, so
-    total = fid + reg_r + reg_c row by row. Unknown-truth runs carry nan
-    in the mse_unobs and nmae columns. X is the product of the state
+    """Checkpoint log: one ordered mapping from trace.csv column name to
+    its values, fixed when the trace is made: iter, total, fid, reg_r,
+    reg_c, mse_obs, mse_unobs, nmae, then sigma_1..sigma_k for k = n_sigma.
+    reg_r and reg_c are the lambda-scaled terms, so total = fid + reg_r +
+    reg_c; unknown-truth runs carry nan in mse_unobs and nmae. Columns
+    read as attributes, iter also as iters. X is the product of the state
     the last row evaluates, kept for the caller and not written."""
 
-    _BASE_COLUMNS = ["iter", "total", "fid", "reg_r", "reg_c",
-                     "mse_obs", "mse_unobs", "nmae"]
-
     n_sigma: int = 0
-    iters: list = field(default_factory=list)
-    total: list = field(default_factory=list)
-    fid: list = field(default_factory=list)
-    reg_r: list = field(default_factory=list)
-    reg_c: list = field(default_factory=list)
-    mse_obs: list = field(default_factory=list)
-    mse_unobs: list = field(default_factory=list)
-    nmae: list = field(default_factory=list)
-    sigma: list = field(default_factory=list)
     stop_reason: str = ""
     X: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _columns: dict = field(init=False, repr=False)
 
-    def append(self, it, total, fid, reg_r, reg_c, mse_obs,
-               mse_unobs=None, nmae=None, sigma=()):
+    def __post_init__(self):
+        self._columns = {name: [] for name in (
+            "iter", "total", "fid", "reg_r", "reg_c", "mse_obs", "mse_unobs",
+            "nmae", *(f"sigma_{j + 1}" for j in range(self.n_sigma)))}
+
+    def append(self, **row):
+        """Add a row given by column name: the trace's columns, no other."""
+        if row.keys() != self._columns.keys():
+            raise InvalidInput(f"trace row has columns {list(row)}, the "
+                               f"trace has {list(self._columns)}")
+        it = row["iter"]
         if self.iters and it <= self.iters[-1]:
             raise InvalidInput(f"trace iterations must increase, got {it} "
                                f"after {self.iters[-1]}")
-        core = (total, fid, reg_r, reg_c, mse_obs)
-        if not all(np.isfinite(v) for v in core):
+        core = ("total", "fid", "reg_r", "reg_c", "mse_obs")
+        if not all(np.isfinite(row[name]) for name in core):
             raise InvalidInput(f"non-finite trace value at iteration {it}")
-        if len(sigma) != self.n_sigma:
-            raise InvalidInput(f"expected {self.n_sigma} singular values, "
-                               f"got {len(sigma)}")
-        self.iters.append(int(it))
-        self.total.append(float(total))
-        self.fid.append(float(fid))
-        self.reg_r.append(float(reg_r))
-        self.reg_c.append(float(reg_c))
-        self.mse_obs.append(float(mse_obs))
-        self.mse_unobs.append(float("nan") if mse_unobs is None else float(mse_unobs))
-        self.nmae.append(float("nan") if nmae is None else float(nmae))
-        self.sigma.append(tuple(float(s) for s in sigma))
+        for name, values in self._columns.items():
+            values.append((int if name == "iter" else float)(row[name]))
+
+    def __getattr__(self, name):
+        try:  # the columns, iter also as iters
+            return vars(self)["_columns"]["iter" if name == "iters" else name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def __len__(self):
         return len(self.iters)
 
     def to_csv(self) -> str:
-        lines = [",".join(self._BASE_COLUMNS + [f"sigma_{j + 1}"
-                                                for j in range(self.n_sigma)])]
-        for i in range(len(self.iters)):
-            vals = [self.total[i], self.fid[i], self.reg_r[i], self.reg_c[i],
-                    self.mse_obs[i], self.mse_unobs[i], self.nmae[i],
-                    *self.sigma[i]]
-            lines.append(",".join([str(self.iters[i])]
-                                  + [format(v, ".17g") for v in vals]))
+        # an int iteration formats as its digits
+        lines = [",".join(self._columns)]
+        lines += [",".join(format(v, ".17g") for v in row)
+                  for row in zip(*self._columns.values())]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             f.write(self.to_csv())
+
+
+def _settled(trace: MetricTrace, cfg: TrainConfig, delta: float) -> bool:
+    """reg_delta's rule: past iteration 0, the trace's last stop_patience
+    moves each end after stop_warmup and move reg_r and reg_c under delta."""
+    k = cfg.stop_patience + 1
+    its, r, c = (col[-k:] for col in (trace.iters, trace.reg_r, trace.reg_c))
+    return len(its) == k and its[0] > 0 and all(
+        end > cfg.stop_warmup and max(abs(r1 - r0), abs(c1 - c0)) < delta
+        for end, r0, r1, c0, c1 in zip(its[1:], r, r[1:], c, c[1:]))
 
 
 def auto_lambda(y_obs, m: int, n: int) -> tuple[float, float]:
@@ -500,25 +505,22 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
         return np.isfinite(a, out=_take(a.shape, dtype=bool)[0]).all()
 
     def scores(X):
-        # a checkpoint's (mse_unobs, nmae, sigmas), taken before lift fills
-        # G's buffer, which holds the unobserved entries meanwhile
-        mse_un = nm = None
+        # a checkpoint's mse_unobs, nmae and sigma_j by name, taken before
+        # lift fills G's buffer, which holds the unobserved entries meanwhile
+        row = {"mse_unobs": math.nan, "nmae": math.nan}
         if gt is not None:
-            _, mse_un, nm = metrics(X, gt, mask, False,
-                                    G_buf[:mask.n_unobserved])
-        sig = ()
+            _, row["mse_unobs"], row["nmae"] = metrics(
+                X, gt, mask, False, G_buf[:mask.n_unobserved])
         if cfg.track_singular_values:
             s = svd(X, compute_uv=False)
-            k = cfg.track_singular_values
-            sig = tuple(s[:k]) + (0.0,) * max(0, k - s.size)
-        return mse_un, nm, sig
+            for j in range(cfg.track_singular_values):
+                row[f"sigma_{j + 1}"] = s[j] if j < s.size else 0.0
+        return row
 
     def failed(err):
         err.trace = trace  # callers may flush the partial log
         return err
 
-    prev_scaled = None
-    streak = 0
     stop_reason = "max_iters"
     # the parameters in chunks of rows, so that the scan after every step
     # needs no boolean array of a whole parameter's size
@@ -541,7 +543,7 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
                 stop_reason = "mse_obs"
                 last = True
             logged = it % cfg.log_every == 0 or last
-            row = scores(X) if logged else ()
+            row = scores(X) if logged else None
             try:
                 if last:
                     Rr, Rc = strategy.values(X, lifted)
@@ -559,21 +561,12 @@ def train(state: ModelState, mask: SamplingMask, y_obs, cfg: TrainConfig,
                 # and a finite energy its weighted term
                 raise failed(DivergenceError(it + 1, "objective"))
             if logged:
-                trace.append(it, total, fid, lam_r * Rr, lam_c * Rc,
-                             sq / n_obs, *row)
-            if it % cfg.log_every == 0 and it > 0 and reg_active:
-                scaled = (lam_r * Rr, lam_c * Rc)
-                if prev_scaled is not None:
-                    dr = abs(scaled[0] - prev_scaled[0])
-                    dc = abs(scaled[1] - prev_scaled[1])
-                    if dr < delta and dc < delta and it > cfg.stop_warmup:
-                        streak += 1
-                    else:
-                        streak = 0
-                prev_scaled = scaled
-                if streak >= cfg.stop_patience:
-                    stop_reason = "reg_delta"
-                    break
+                trace.append(iter=it, total=total, fid=fid, reg_r=lam_r * Rr,
+                             reg_c=lam_c * Rc, mse_obs=sq / n_obs, **row)
+            if (reg_active and it % cfg.log_every == 0
+                    and _settled(trace, cfg, delta)):
+                stop_reason = "reg_delta"
+                break
             if last:
                 break
 

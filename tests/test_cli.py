@@ -122,6 +122,23 @@ def test_complete_creates_missing_output_directory(small_problem, tmp_path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, made", [
+    (("complete", "--max-iters", 20, "--recovered", "nodir/x.csv"),
+     "nodir/x.csv"),
+    (("complete", "--max-iters", 20, "--report", "nodir/r.json"),
+     "nodir/r.json"),
+    (("baseline", "--method", "knn", "--recovered", "nodir/x.csv"),
+     "nodir/x.csv"),
+], ids=["recovered", "report", "knn-recovered"])
+def test_output_paths_in_a_missing_directory_are_made(tmp_path, monkeypatch,
+                                                      argv, made):
+    # each output's directory is made with the output directory, before
+    # training, so a run does not fail after it with a trace left behind
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--rows", 30, "--cols", 20, "--out-dir", "o1") == 0
+    assert (tmp_path / "o1" / made).is_file()
+
+
 def test_precondition_failure_does_not_create_output_directory(tmp_path):
     out = tmp_path / "never"
     assert run("complete", "--data-kind", "image", "--out-dir", out) == 1
@@ -305,6 +322,18 @@ def test_complete_tracks_singular_values(small_problem, tmp_path):
                               "--max-iters", 100)) == 0
     head = (out / "trace.csv").read_text().splitlines()[0]
     assert head.endswith("nmae,sigma_1,sigma_2")
+
+
+@pytest.mark.parametrize("patience, stop", [(1, 250), (3, 1900)])
+def test_reg_delta_streak_resets_on_a_large_move(tmp_path, patience, stop):
+    # the move ending at 250 is under delta, the one ending at 300 is not:
+    # patience 1 stops at 250, and patience 3's streak starts over there
+    assert run("complete", "--rows", 40, "--cols", 30, "--reg", "air",
+               "--max-iters", 3000, "--log-every", 50, "--stop-delta", 0.03,
+               "--stop-warmup", 200, "--stop-patience", patience,
+               "--out-dir", tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["stop_reason"], report["iters"]) == ("reg_delta", stop)
 
 
 def test_complete_pgm_image_pipeline(tmp_path):

@@ -1031,10 +1031,19 @@ def test_kernels_outside_train_hand_back_arrays_of_their_own(kernel):
 
 def test_metric_trace_round_trip():
     tr = MetricTrace(n_sigma=2)
-    tr.append(0, 1.5, 1.0, 0.3, 0.2, 0.5, 0.25, 0.1, (2.0, 1.0))
-    tr.append(100, 0.7, 0.5, 0.1, 0.1, 0.2, None, None, (1.5, 0.5))
+    tr.append(iter=0, total=1.5, fid=1.0, reg_r=0.3, reg_c=0.2, mse_obs=0.5,
+              mse_unobs=0.25, nmae=0.1, sigma_1=2.0, sigma_2=1.0)
+    tr.append(iter=100, total=0.7, fid=0.5, reg_r=0.1, reg_c=0.1,
+              mse_obs=0.2, mse_unobs=np.nan, nmae=np.nan, sigma_1=1.5,
+              sigma_2=0.5)
     tr.stop_reason = "max_iters"
     text = tr.to_csv()
+    assert text == (
+        "iter,total,fid,reg_r,reg_c,mse_obs,mse_unobs,nmae,sigma_1,sigma_2\n"
+        "0,1.5,1,0.29999999999999999,0.20000000000000001,0.5,0.25,"
+        "0.10000000000000001,2,1\n"
+        "100,0.69999999999999996,0.5,0.10000000000000001,0.10000000000000001,"
+        "0.20000000000000001,nan,nan,1.5,0.5\n")
     assert text.splitlines()[0] == ("iter,total,fid,reg_r,reg_c,mse_obs,"
                                     "mse_unobs,nmae,sigma_1,sigma_2")
     rows = [[float(v) for v in ln.split(",")] for ln in text.splitlines()[1:]]
@@ -1047,10 +1056,12 @@ def test_metric_trace_round_trip():
 
 def test_metric_trace_validation():
     tr = MetricTrace()
-    tr.append(0, 1.0, 1.0, 0.0, 0.0, 1.0)
+    row = dict(iter=0, total=1.0, fid=1.0, reg_r=0.0, reg_c=0.0, mse_obs=1.0,
+               mse_unobs=np.nan, nmae=np.nan)
+    tr.append(**row)
     with pytest.raises(InvalidInput):
-        tr.append(0, 1.0, 1.0, 0.0, 0.0, 1.0)  # non-increasing iter
+        tr.append(**row)  # non-increasing iter
     with pytest.raises(InvalidInput):
-        tr.append(5, np.nan, 1.0, 0.0, 0.0, 1.0)  # non-finite core value
+        tr.append(**{**row, "iter": 5, "total": np.nan})  # non-finite core
     with pytest.raises(InvalidInput):
-        tr.append(5, 1.0, 1.0, 0.0, 0.0, 1.0, sigma=(1.0,))  # wrong k
+        tr.append(**{**row, "iter": 5}, sigma_1=1.0)  # wrong k
