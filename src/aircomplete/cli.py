@@ -19,7 +19,6 @@ import os
 import sys
 import warnings
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .data_lab import (GroundTruth, SamplingMask, apply_mask, gen_block_ratings,
 from .dmf import factor_grads_from_full, initialize
 from .errors import (DivergenceError, ImputeError, InvalidInput,
                      NumericOverflow, ParseError)
-from .mat_core import (_PAIR_MIN, _lanes, _second_cpu_idle,
-                       finite_difference_grad, gaussian_matrix, make_rng)
+from .mat_core import (_lanes, _second_cpu_idle, finite_difference_grad,
+                       gaussian_matrix, make_rng)
 from .trainer import MetricTrace, ModelState, TrainConfig, train
 
 __all__ = ["main", "run_complete", "run_sweep", "run_verify", "default_config"]
@@ -202,6 +201,8 @@ def _is_pgm(path: str) -> bool:
 # handoffs), tasks a batch, and entries a task on one lane or a compress
 # call: 2^20 entries peak at 6.3 MB traced on two lanes and 0.6 MB on one
 _CSV_CHUNK, _CSV_BATCH, _CSV_PIECE = 1 << 14, 8, 1 << 11
+# entries of X from which write_matrix_csv hands its chunks to two lanes
+_PAIR_MIN = 1 << 20
 _U, _LO32 = np.uint64, np.uint64(0xFFFFFFFF)
 _POW5 = np.array([5 ** k for k in range(28)], _U)
 
@@ -427,6 +428,28 @@ def _write_outputs(paths, X, trace, prep):
     return report
 
 
+def _read_laplacians(path) -> FixedLaplacians:
+    """The fixed penalty held in a .npz archive's arrays L_r and L_c."""
+    try:
+        with open(path, "rb") as f:
+            if not zipfile.is_zipfile(f):
+                raise ValueError("not a zip archive")
+            with np.load(f) as z:
+                laps = {key: z[key] for key in ("L_r", "L_c") if key in z}
+    except (ValueError, zipfile.BadZipFile) as e:
+        # numpy's refusal of an object array names its pickle option
+        why = "it holds an object array" if "allow_pickle" in str(e) else e
+        raise InvalidInput(f"{path} is not a readable .npz archive "
+                           f"({why})") from None
+    for key in ("L_r", "L_c"):
+        if key not in laps:
+            raise InvalidInput(f"{path} has no array {key!r}")
+        # np.load hands a member without the .npy magic back as bytes
+        if not isinstance(laps[key], np.ndarray):
+            raise InvalidInput(f"{path} member {key!r} is not an array")
+    return FixedLaplacians(laps["L_r"], laps["L_c"])
+
+
 def _prepare(cfg: dict):
     """Validate cfg and build a run's inputs up to its model: (truth,
     recovered path, mask, train config, penalty, model rng). Every input
@@ -450,27 +473,9 @@ def _prepare(cfg: dict):
     if reg["mode"] == "tv":
         penalty = TvConfig(eps=reg["tv_eps"])
     elif reg["mode"] == "fixed":
-        path = reg["fixed_path"]
-        if path is None:
+        if reg["fixed_path"] is None:
             raise InvalidInput("regularizer.mode fixed requires fixed_path")
-        try:
-            with open(path, "rb") as f:
-                if not zipfile.is_zipfile(f):
-                    raise ValueError("not a zip archive")
-                with np.load(f) as z:
-                    laps = {key: z[key] for key in ("L_r", "L_c") if key in z}
-        except (ValueError, zipfile.BadZipFile) as e:
-            # numpy's refusal of an object array names its pickle option
-            why = "it holds an object array" if "allow_pickle" in str(e) else e
-            raise InvalidInput(f"{path} is not a readable .npz archive "
-                               f"({why})") from None
-        for key in ("L_r", "L_c"):
-            if key not in laps:
-                raise InvalidInput(f"{path} has no array {key!r}")
-            # np.load hands a member without the .npy magic back as bytes
-            if not isinstance(laps[key], np.ndarray):
-                raise InvalidInput(f"{path} member {key!r} is not an array")
-        penalty = FixedLaplacians(laps["L_r"], laps["L_c"])
+        penalty = _read_laplacians(reg["fixed_path"])
         penalty.check_shape(*truth.full.shape)
 
     opt = cfg["optimizer"]
@@ -529,11 +534,6 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
         values = [v or min(prep[0].full.shape) for v in values]
     if len(set(values)) != len(values):
         raise InvalidInput(f"sweep values must be distinct, got {values}")
-    try:
-        workers = max(1, int(os.environ.get("AIR_THREADS", "1")))
-    except ValueError:
-        raise InvalidInput(f"AIR_THREADS must be an integer, got "
-                           f"{os.environ['AIR_THREADS']!r}") from None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
@@ -553,11 +553,7 @@ def run_sweep(cfg: dict, axis: str, values: list, out_dir: str | None = None):
         except _INPUT_ERRORS + _NUMERIC_ERRORS as e:  # the sweep goes on
             return (v, None, f"{type(e).__name__}: {e}")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, values))
-    else:
-        results = [one(v) for v in values]
+    results = [one(v) for v in values]
 
     lines = [f"{axis},nmae,mse_obs,mse_unobs,iters,stop_reason,status"]
     for v, rep, err in results:

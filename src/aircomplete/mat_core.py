@@ -128,9 +128,6 @@ class _Plan(NamedTuple):
     lane: int = 0  # 0 the caller's, 1 the worker's (see _queue)
 
 
-# entries of X from which the CSV writer hands its chunks to two lanes
-_PAIR_MIN = 1 << 20
-
 # the plan of the running `train` call, scoped like np.errstate; off
 # everywhere else
 _PLAN = contextvars.ContextVar("aircomplete_plan", default=_Plan())
@@ -141,7 +138,7 @@ if hasattr(os, "register_at_fork"):  # a fork's child starts a worker anew
 
 def _second_cpu_idle() -> bool:
     """Whether the process may use two CPUs and this is the main thread
-    (the arms of an AIR_THREADS sweep already use both)."""
+    (a library caller's own threads may already use both)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
     return cpus >= 2 and threading.current_thread() is threading.main_thread()

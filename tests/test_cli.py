@@ -998,24 +998,6 @@ def test_no_helper_on_one_cpu(two_cpus, small_problem, tmp_path, monkeypatch,
     assert helpers == []
 
 
-def test_no_helper_in_a_sweep_arm_on_threads(two_cpus, small_problem,
-                                             tmp_path, monkeypatch, helpers):
-    # with the threshold at one entry, each arm's recovered matrix splits
-    # on the main thread, and in an arm of an AIR_THREADS sweep does not;
-    # neither starts a process
-    monkeypatch.setattr(cli, "_PAIR_MIN", 1)
-    truth, mask = small_problem
-    outs = tmp_path / "serial", tmp_path / "threads"
-    for out in outs:
-        out.mkdir()
-    assert run(*sweep_args(truth, mask, outs[0], "2,3")) == 0
-    monkeypatch.setenv("AIR_THREADS", "2")
-    assert run(*sweep_args(truth, mask, outs[1], "2,3")) == 0
-    assert helpers == []
-    for name in ("recovered_depth2.csv", "recovered_depth3.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
 def test_divergence_exits_two_with_partial_trace(small_problem, tmp_path,
                                                  capsys):
     truth, mask = small_problem
@@ -1155,21 +1137,6 @@ def test_sweep_propagates_programming_errors(small_problem, tmp_path,
         run(*sweep_args(truth, mask, tmp_path, "2"))
 
 
-def test_sweep_parallel_matches_serial(small_problem, tmp_path):
-    truth, mask = small_problem
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    serial.mkdir()
-    parallel.mkdir()
-    assert run(*sweep_args(truth, mask, serial, "2,3")) == 0
-    os.environ["AIR_THREADS"] = "2"
-    try:
-        assert run(*sweep_args(truth, mask, parallel, "2,3")) == 0
-    finally:
-        del os.environ["AIR_THREADS"]
-    assert ((serial / "sweep_summary.csv").read_bytes()
-            == (parallel / "sweep_summary.csv").read_bytes())
-
-
 def test_sweep_rejects_bad_values(small_problem, tmp_path):
     truth, mask = small_problem
     out = tmp_path / "run"
@@ -1238,15 +1205,11 @@ def test_baseline_depth_1_exits_one(small_problem, tmp_path, capsys, method):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "parallel"])
-def test_sweep_arms_match_standalone_runs(small_problem, tmp_path,
-                                          monkeypatch, threads):
+def test_sweep_arms_match_standalone_runs(small_problem, tmp_path):
     # every arm draws its model from its own copy of the model rng, so it
     # matches a lone run with the same flags
     truth, mask = small_problem
     sweep = tmp_path / "sweep"
-    if threads:
-        monkeypatch.setenv("AIR_THREADS", threads)
     assert run(*sweep_args(truth, mask, sweep, "2,3")) == 0
     for depth in (2, 3):
         alone = tmp_path / f"alone{depth}"
@@ -1256,17 +1219,6 @@ def test_sweep_arms_match_standalone_runs(small_problem, tmp_path,
             ext = ".json" if name == "report" else ".csv"
             assert ((sweep / f"{name}_depth{depth}{ext}").read_bytes()
                     == (alone / f"{name}{ext}").read_bytes())
-
-
-def test_sweep_rejects_a_non_integer_thread_count(small_problem, tmp_path,
-                                                  monkeypatch, capsys):
-    truth, mask = small_problem
-    out = tmp_path / "run"
-    monkeypatch.setenv("AIR_THREADS", "two")
-    assert run(*sweep_args(truth, mask, out, "2,3")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "AIR_THREADS" in err
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1405,11 +1357,13 @@ def test_verify_hands_nothing_to_the_worker(two_cpus, pool, kind, capsys):
     assert pool.submitted == 0
 
 
-def test_sweep_arms_on_threads_hand_nothing_to_the_worker(
-        two_cpus, pool, tmp_path, monkeypatch):
-    # each arm already has a CPU of its own
-    monkeypatch.setenv("AIR_THREADS", "2")
+@pytest.mark.parametrize("shape, splits", [((260, 140), True),
+                                           ((100, 100), False)],
+                         ids=["large", "small"])
+def test_sweep_arms_split_as_lone_runs_do(two_cpus, pool, tmp_path, shape,
+                                          splits):
+    # the arms run in turn on the main thread, each as `complete` would
     assert run("sweep", "--axis", "depth", "--values", "2,3",
-               *lowrank_args(tmp_path, 260, 140)) == 0
-    assert pool.submitted == 0
-    assert "ok" in (tmp_path / "sweep_summary.csv").read_text()
+               *lowrank_args(tmp_path, *shape)) == 0
+    assert (pool.submitted > 0) == splits
+    assert (tmp_path / "sweep_summary.csv").read_text().count(",ok") == 2

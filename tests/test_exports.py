@@ -1,13 +1,18 @@
 """Every exported name exists: a stale entry in an `__all__` list breaks
 `import *` for every caller, and nothing else in the suite notices. Every
 imported name is used: a deletion that leaves its import behind is found
-here, as the repository runs no linter."""
+here, as the repository runs no linter. No module reads an environment
+variable but the BLAS thread count, so no run setting hides outside the
+config table."""
 import ast
 import importlib
 import inspect
+import pathlib
 import types
 
 import pytest
+
+import aircomplete
 
 MODULES = ("aircomplete", "aircomplete.mat_core", "aircomplete.data_lab",
            "aircomplete.dmf", "aircomplete.air_reg", "aircomplete.trainer",
@@ -64,3 +69,33 @@ def test_every_traced_name_resolves(path):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert isinstance(obj, (types.FunctionType, property))
+
+
+def environment_reads(tree):
+    """The key of every read of os.environ or os.getenv in tree, or None
+    where the key is not a string literal or the mapping is used whole."""
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name not in ("environ", "getenv"):
+            continue
+        up, key = parent[node], None
+        if isinstance(up, ast.Call) and up.func is node:  # getenv(key)
+            key = [*up.args, None][0]
+        elif isinstance(up, ast.Subscript) and up.value is node:
+            key = up.slice
+        elif isinstance(up, ast.Attribute) and isinstance(parent[up], ast.Call):
+            key = [*parent[up].args, None][0]  # environ.get(key)
+        elif isinstance(up, ast.Compare) and node in up.comparators:
+            key = up.left  # key in environ
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        yield key.value if literal else None
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(aircomplete.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name)
+def test_only_the_blas_thread_count_is_read_from_the_environment(path):
+    reads = set(environment_reads(ast.parse(path.read_text())))
+    assert reads <= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
